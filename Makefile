@@ -108,13 +108,15 @@ bench-smoke:
 # sharded-sweep throughput benchmark (shards/sec at 1 and 8 workers) and the
 # placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
 # clients), then write BENCH_core.json (benchstat-comparable names, mean
-# ns/op, B/op, allocs/op). When artifacts/bench/BENCH_core_pre.txt exists (the pre-change
+# ns/op, B/op, allocs/op, each row tagged with its package; the header records
+# the CPU count and GOMAXPROCS). When artifacts/bench/BENCH_core_pre.txt exists (the pre-change
 # capture), it is embedded as the document's baseline section so the
 # before/after pair travels together.
 bench-json:
 	@mkdir -p artifacts/bench
+	@echo "nproc: $$(getconf _NPROCESSORS_ONLN)" > artifacts/bench/BENCH_core_cur.txt
 	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|FleetSelect|FragmentationSweep' \
-		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee artifacts/bench/BENCH_core_cur.txt
+		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test . -run='^$$' -bench='Figure4SweepThroughput' \
 		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test ./internal/server -run='^$$' -bench='ServerPlaceThroughput' \

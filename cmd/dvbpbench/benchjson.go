@@ -19,11 +19,18 @@ import (
 // the pre-change numbers the current run is compared against, so a single
 // artefact records the before/after pair.
 type BenchReport struct {
-	Schema     string       `json:"schema"`
-	Goos       string       `json:"goos,omitempty"`
-	Goarch     string       `json:"goarch,omitempty"`
-	Pkg        string       `json:"pkg,omitempty"`
-	CPU        string       `json:"cpu,omitempty"`
+	Schema string `json:"schema"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	// Pkg is set only when every row comes from one package; each row
+	// names its own package either way.
+	Pkg string `json:"pkg,omitempty"`
+	CPU string `json:"cpu,omitempty"`
+	// NProc is the machine's online CPU count, from an "nproc: N" line
+	// (make bench-json writes one); 0 when the input has none.
+	NProc int `json:"nproc,omitempty"`
+	// GOMAXPROCS is read off the benchmark names' -N suffix (none means 1).
+	GOMAXPROCS int          `json:"gomaxprocs"`
 	Benchmarks []BenchEntry `json:"benchmarks"`
 	Baseline   *BenchReport `json:"baseline,omitempty"`
 }
@@ -33,6 +40,7 @@ type BenchReport struct {
 // does); per-op values are means across repetitions.
 type BenchEntry struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
 	Runs       int                `json:"runs"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
@@ -46,12 +54,15 @@ type BenchEntry struct {
 func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 	rep := &BenchReport{Schema: "dvbp-bench/v1"}
 	type agg struct {
+		pkg   string
 		runs  int
 		iters int64
 		sums  map[string]float64 // unit -> summed value
 	}
 	byName := make(map[string]*agg)
 	var order []string
+	pkg := ""
+	pkgs := make(map[string]bool)
 
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -67,10 +78,17 @@ func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+			continue
+		case strings.HasPrefix(line, "nproc:"):
+			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "nproc:")))
+			if err != nil {
+				return nil, fmt.Errorf("benchjson: bad nproc line %q", line)
+			}
+			rep.NProc = n
 			continue
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
@@ -81,11 +99,18 @@ func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 			continue
 		}
 		name := fields[0]
-		// Strip the trailing -<GOMAXPROCS> the testing package appends.
+		// Strip the trailing -<GOMAXPROCS> the testing package appends
+		// (it appends none when GOMAXPROCS is 1).
+		procs := 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
+		}
+		if rep.GOMAXPROCS == 0 {
+			rep.GOMAXPROCS = procs
+		} else if procs != rep.GOMAXPROCS {
+			return nil, fmt.Errorf("benchjson: benchmarks ran at GOMAXPROCS %d and %d; convert one -cpu value per file", rep.GOMAXPROCS, procs)
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
@@ -93,9 +118,10 @@ func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 		}
 		a := byName[name]
 		if a == nil {
-			a = &agg{sums: make(map[string]float64)}
+			a = &agg{pkg: pkg, sums: make(map[string]float64)}
 			byName[name] = a
 			order = append(order, name)
+			pkgs[pkg] = true
 		}
 		a.runs++
 		a.iters += iters
@@ -110,10 +136,13 @@ func parseBenchOutput(r io.Reader) (*BenchReport, error) {
 	if len(order) == 0 {
 		return nil, fmt.Errorf("benchjson: no benchmark lines found")
 	}
+	if len(pkgs) == 1 {
+		rep.Pkg = pkg
+	}
 
 	for _, name := range order {
 		a := byName[name]
-		e := BenchEntry{Name: name, Runs: a.runs, Iterations: a.iters}
+		e := BenchEntry{Name: name, Pkg: a.pkg, Runs: a.runs, Iterations: a.iters}
 		n := float64(a.runs)
 		for unit, sum := range a.sums {
 			mean := sum / n

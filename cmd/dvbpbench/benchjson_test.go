@@ -88,3 +88,34 @@ func TestRunBenchJSONWithBaseline(t *testing.T) {
 		t.Error("baseline must not nest a further baseline")
 	}
 }
+
+// TestParseBenchOutputMultiPackage: rows from several packages each carry
+// their own package, the header names none, and the header records the CPU
+// count and the GOMAXPROCS the benchmarks ran at.
+func TestParseBenchOutputMultiPackage(t *testing.T) {
+	in := "nproc: 2\n" + sampleBenchOutput + `pkg: dvbp/internal/server
+BenchmarkServerPlaceThroughput/clients=1-8	10	900000 ns/op
+`
+	rep, err := parseBenchOutput(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pkg != "" || rep.NProc != 2 || rep.GOMAXPROCS != 8 {
+		t.Errorf("header pkg=%q nproc=%d gomaxprocs=%d, want \"\", 2, 8", rep.Pkg, rep.NProc, rep.GOMAXPROCS)
+	}
+	want := map[string]string{
+		"BenchmarkChurnHotPath/policy=BestFit/d=2":  "dvbp/internal/core",
+		"BenchmarkChurnHotPath/policy=FirstFit/d=2": "dvbp/internal/core",
+		"BenchmarkServerPlaceThroughput/clients=1":  "dvbp/internal/server",
+	}
+	for _, e := range rep.Benchmarks {
+		if e.Pkg != want[e.Name] {
+			t.Errorf("%s: pkg %q, want %q", e.Name, e.Pkg, want[e.Name])
+		}
+	}
+
+	// GOMAXPROCS 1 leaves no suffix; mixing it with -8 rows is refused.
+	if _, err := parseBenchOutput(strings.NewReader(in + "BenchmarkOther	10	5 ns/op\n")); err == nil {
+		t.Error("mixed GOMAXPROCS accepted")
+	}
+}

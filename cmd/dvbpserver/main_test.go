@@ -294,7 +294,7 @@ func TestSIGKILLRestartUnderLoad(t *testing.T) {
 	base := "http://" + addr
 	acks := filepath.Join(t.TempDir(), "acks.jsonl")
 
-	rs := startServer(t, srvBin, addr, data, "-sync-every", "8")
+	rs := startServer(t, srvBin, addr, data)
 
 	load := exec.Command(benchBin,
 		"-serve-load", base, "-serve-acks", acks,
@@ -314,7 +314,7 @@ func TestSIGKILLRestartUnderLoad(t *testing.T) {
 	rs.cmd.Process.Kill()
 	rs.cmd.Wait()
 
-	rs2 := startServer(t, srvBin, addr, data, "-sync-every", "8")
+	rs2 := startServer(t, srvBin, addr, data)
 	if err := load.Wait(); err != nil {
 		t.Fatalf("load driver failed across the restart: %v\n%s", err, &loadOut)
 	}

@@ -1,6 +1,6 @@
 // Package binindex implements the sub-linear indexed bin store behind the
-// engine's Any Fit policies: a self-balancing order-statistic tree over the
-// open bins, augmented with residual-capacity pruning metadata, that answers
+// engine's Any Fit policies: a treap (an order-statistic tree with hashed
+// priorities) over the open bins, augmented with residual-capacity pruning metadata, that answers
 // every policy's Select as a single "leftmost feasible entry in key order"
 // query.
 //
@@ -25,8 +25,11 @@
 //
 // # Structure and complexity
 //
-// The store is an AVL tree in a flat node arena (int32 links, free-list
+// The store is a treap in a flat node arena (int32 links, free-list
 // recycling), so steady-state Insert/Remove/Update/queries allocate nothing.
+// Its priorities are a fixed hash of the bin ID, so its shape is a pure
+// function of its contents; an AVL tree's shape would depend on rotation
+// history and break restore-stable fit-check counts (DESIGN.md §11).
 // Every node carries order-statistic counts plus two pruning augmentations
 // over its subtree:
 //
@@ -39,11 +42,14 @@
 //     all lie below the item's largest component cannot fit it. The mask is
 //     a conservative O(1) pre-filter in front of the O(d) minLoad check.
 //
-// FirstFeasible therefore runs in O(d·log n) guaranteed for d = 1 (the
-// minLoad prune is exact and sufficient in one dimension) and degrades
-// gracefully for d ≥ 2, where component-wise pruning can admit false
-// positives: worst case O(d·n), in practice near-logarithmic (the fleet
-// benchmarks in BENCH_core.json pin the measured behaviour).
+// FirstFeasible therefore runs in expected O(d·log n) for d = 1 (the
+// minLoad prune is exact and sufficient in one dimension). For d ≥ 2 the
+// component-wise prune admits every subtree once bins are imbalanced in
+// opposite dimensions, so the worst case is O(d·n), and it is reached in
+// practice: in BENCH_core.json's FleetSelect rows the index loses to the
+// linear scan for Best Fit at d = 2 (about 5.6 ms vs 2.0 ms per decision at
+// n = 10⁵, 189 ms vs 36 ms at n = 10⁶), while Worst Fit at d = 2 stays
+// logarithmic.
 //
 // The engine owns index maintenance (insert on open, update on pack/depart,
 // remove on close/crash, rebuild on checkpoint restore); policies only issue

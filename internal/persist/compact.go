@@ -145,37 +145,25 @@ func (s *Session) Compact() error {
 	return nil
 }
 
-// CompactOpLog rewrites a dynamic run's operation log in place, collapsing
-// every clock-advance record into a single advance to the log's largest
-// target, positioned after exactly the items that were admitted before it.
-// Item records — the durable source of the item list, whose IDs are
-// positional — are preserved bit-for-bit, so the rebuilt list, the final
-// watermark, and MaxAdvance are unchanged; only redundant advance spam goes.
-// The rewrite is atomic (temp + rename + dir-sync) and only runs on a clean,
-// fully-synced log.
-//
-// Returns a fresh append writer positioned at the new tail and the bytes
-// reclaimed. When nothing would shrink (fewer than two advances), it returns
-// (nil, 0, nil) and the caller keeps its current writer.
-func CompactOpLog(fsys vfs.FS, path, label string, syncEvery int) (*Writer, int64, error) {
+// compactOpLog atomically rewrites a clean, fully-synced op log keeping every
+// item record and only the last advance, which (advances never regress)
+// targets MaxAdvance after exactly the items admitted before it: the rebuilt
+// item list, watermark and MaxAdvance are unchanged. It returns an append
+// writer at the new tail and the bytes reclaimed, or (nil, 0, nil) when
+// there are fewer than two advances to collapse.
+func compactOpLog(fsys vfs.FS, path, label string) (*Writer, int64, error) {
 	fsys = vfs.OrOS(fsys)
-	logged, err := ReadOpLog(fsys, path, label)
+	logged, err := readOpLog(fsys, path, label)
 	if err != nil {
 		return nil, 0, err
 	}
 	if logged.Torn != nil {
 		return nil, 0, logged.Torn // only compact logs with no torn tail
 	}
-	advances := 0
-	itemsBeforeLast := 0
-	items := 0
-	for _, op := range logged.Ops {
-		switch op.Kind {
-		case OpItem:
-			items++
-		case OpAdvance:
-			advances++
-			itemsBeforeLast = items
+	advances, last := 0, -1
+	for i, op := range logged.Ops {
+		if op.Kind == opAdvance {
+			advances, last = advances+1, i
 		}
 	}
 	if advances <= 1 {
@@ -184,30 +172,21 @@ func CompactOpLog(fsys vfs.FS, path, label string, syncEvery int) (*Writer, int6
 	content := appendHeader(nil, KindOpLog)
 	content = appendRecord(content, encodeMeta(logged.Meta))
 	var scratch []byte
-	n := 0
-	for _, op := range logged.Ops {
-		if op.Kind != OpItem {
+	for i, op := range logged.Ops {
+		switch {
+		case op.Kind == opItem:
+			scratch = appendItemOp(scratch[:0], op.Arrival, op.Departure, op.Size)
+		case i == last:
+			scratch = appendAdvanceOp(scratch[:0], op.To)
+		default:
 			continue
 		}
-		if n == itemsBeforeLast {
-			scratch = AppendAdvanceOp(scratch[:0], logged.MaxAdvance)
-			content = appendRecord(content, scratch)
-		}
-		scratch = AppendItemOp(scratch[:0], op.Arrival, op.Departure, op.Size)
 		content = appendRecord(content, scratch)
-		n++
-	}
-	if n == itemsBeforeLast { // the advance came after every item
-		scratch = AppendAdvanceOp(scratch[:0], logged.MaxAdvance)
-		content = appendRecord(content, scratch)
-	}
-	if int64(len(content)) >= logged.ValidSize {
-		return nil, 0, nil
 	}
 	if err := writeFileAtomic(fsys, path, content); err != nil {
 		return nil, 0, err
 	}
-	w, err := openAppend(fsys, path, int64(len(content)), syncEvery)
+	w, err := openAppend(fsys, path, int64(len(content)), SyncManual)
 	if err != nil {
 		return nil, 0, &CorruptionError{Run: label, Path: path, Offset: -1, Record: -1,
 			Reason: "compaction swapped the op log but could not reopen it", Err: err}

@@ -39,6 +39,9 @@
 //   - session.go: Session/Begin — the producer side: append events, cut
 //     snapshots every N events, rotate files.
 //   - recover.go: Recover — the consumer side described above.
+//   - oplog.go, dynamic.go: a dynamic run's op log, and DynamicRun, the one
+//     owner of its op-log + WAL two-barrier protocol (DESIGN.md §12) that
+//     server tenants run and the dynamic crash-point sweep drives.
 //
 // The kill-and-recover torture tests (torture_test.go and cmd/dvbpchaos)
 // exercise the full matrix: process kills at arbitrary event indices, WAL

@@ -67,6 +67,23 @@ func Create(fsys vfs.FS, path string, kind FileKind, syncEvery int) (*Writer, er
 	return w, nil
 }
 
+// createLog creates (truncating) a WAL or op log whose first record, the
+// run meta, is durable before it returns.
+func createLog(fsys vfs.FS, path string, kind FileKind, meta RunMeta, syncEvery int) (*Writer, error) {
+	w, err := Create(fsys, path, kind, syncEvery)
+	if err != nil {
+		return nil, err
+	}
+	if err = w.Append(encodeMeta(meta)); err == nil {
+		err = w.Sync()
+	}
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
+}
+
 // openAppend reopens an existing persist file for appending after truncating
 // it to validSize — the recovery path that discards a torn tail and continues
 // the log in place.

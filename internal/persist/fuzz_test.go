@@ -72,8 +72,8 @@ func snapshotCorpusSeeds() [][]byte {
 }
 
 func opLogCorpusSeeds() [][]byte {
-	itemOp := AppendItemOp(nil, 2.5, 7.75, vector.Vector{0.5, 0.125})
-	advance := AppendAdvanceOp(nil, 9.5)
+	itemOp := appendItemOp(nil, 2.5, 7.75, vector.Vector{0.5, 0.125})
+	advance := appendAdvanceOp(nil, 9.5)
 	marker := encodeCompactMarker(40)
 	return [][]byte{
 		itemOp,
@@ -81,8 +81,8 @@ func opLogCorpusSeeds() [][]byte {
 		marker,
 		itemOp[:len(itemOp)-3],           // truncated item
 		append(advance, 0xEE),            // trailing byte
-		AppendAdvanceOp(nil, math.NaN()), // NaN advance must be rejected
-		{byte(OpItem)},                   // kind byte only
+		appendAdvanceOp(nil, math.NaN()), // NaN advance must be rejected
+		{byte(opItem)},                   // kind byte only
 		{0x7A, 0x01, 0x02},               // unknown kind
 		{},                               // empty
 		append([]byte{compactMarkerByte}, 0x80, 2), // non-canonical varint
@@ -91,7 +91,7 @@ func opLogCorpusSeeds() [][]byte {
 
 // FuzzOpLogDecode: the op-log record codec and the compaction marker parser
 // must survive arbitrary bytes — no panic, only *CorruptionError — and any
-// accepted payload must re-encode bit-identically (the bijection CompactOpLog
+// accepted payload must re-encode bit-identically (the bijection compactOpLog
 // relies on when it rewrites item records positionally).
 func FuzzOpLogDecode(f *testing.F) {
 	for _, seed := range opLogCorpusSeeds() {
@@ -99,22 +99,22 @@ func FuzzOpLogDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, d := range []int{1, 2, 4} {
-			op, err := DecodeOp(data, d)
+			op, err := decodeOp(data, d)
 			if err != nil {
 				var ce *CorruptionError
 				if !errors.As(err, &ce) {
-					t.Fatalf("DecodeOp(d=%d): non-corruption error %T: %v", d, err, err)
+					t.Fatalf("decodeOp(d=%d): non-corruption error %T: %v", d, err, err)
 				}
 				continue
 			}
 			var got []byte
 			switch op.Kind {
-			case OpItem:
-				got = AppendItemOp(nil, op.Arrival, op.Departure, op.Size)
-			case OpAdvance:
-				got = AppendAdvanceOp(nil, op.To)
+			case opItem:
+				got = appendItemOp(nil, op.Arrival, op.Departure, op.Size)
+			case opAdvance:
+				got = appendAdvanceOp(nil, op.To)
 			default:
-				t.Fatalf("DecodeOp(d=%d) accepted unknown kind %#x", d, op.Kind)
+				t.Fatalf("decodeOp(d=%d) accepted unknown kind %#x", d, op.Kind)
 			}
 			if string(got) != string(data) {
 				t.Fatalf("re-encode mismatch (d=%d): % x -> %+v -> % x", d, data, op, got)

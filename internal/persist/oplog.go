@@ -25,30 +25,30 @@ import (
 // Item IDs are implicit: the k-th item record is item k, matching the IDs
 // core.Engine.AppendArrival assigns.
 
-// OpKind labels one op-log record.
-type OpKind byte
+// opKind labels one op-log record.
+type opKind byte
 
 // The op-log record kinds.
 const (
-	// OpItem admits one item: it arrives at Arrival, departs at Departure,
+	// opItem admits one item: it arrives at Arrival, departs at Departure,
 	// and its ID is its zero-based position among the log's item records.
-	OpItem OpKind = 'i'
-	// OpAdvance moves the run's logical clock forward to To, committing
+	opItem opKind = 'i'
+	// opAdvance moves the run's logical clock forward to To, committing
 	// every pending engine event at or before it (departures included).
-	OpAdvance OpKind = 'a'
+	opAdvance opKind = 'a'
 )
 
-// Op is one decoded op-log record.
-type Op struct {
-	Kind               OpKind
-	Arrival, Departure float64       // OpItem
-	Size               vector.Vector // OpItem
-	To                 float64       // OpAdvance
+// opRecord is one decoded op-log record.
+type opRecord struct {
+	Kind               opKind
+	Arrival, Departure float64       // opItem
+	Size               vector.Vector // opItem
+	To                 float64       // opAdvance
 }
 
-// AppendItemOp serialises an item-admission record onto dst.
-func AppendItemOp(dst []byte, arrival, departure float64, size vector.Vector) []byte {
-	dst = append(dst, byte(OpItem))
+// appendItemOp serialises an item-admission record onto dst.
+func appendItemOp(dst []byte, arrival, departure float64, size vector.Vector) []byte {
+	dst = append(dst, byte(opItem))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(arrival))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(departure))
 	for _, s := range size {
@@ -57,23 +57,23 @@ func AppendItemOp(dst []byte, arrival, departure float64, size vector.Vector) []
 	return dst
 }
 
-// AppendAdvanceOp serialises a clock-advance record onto dst.
-func AppendAdvanceOp(dst []byte, to float64) []byte {
-	dst = append(dst, byte(OpAdvance))
+// appendAdvanceOp serialises a clock-advance record onto dst.
+func appendAdvanceOp(dst []byte, to float64) []byte {
+	dst = append(dst, byte(opAdvance))
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(to))
 }
 
-// DecodeOp is the inverse of the Append*Op encoders for a d-dimensional run.
+// decodeOp is the inverse of the append*Op encoders for a d-dimensional run.
 // Malformed payloads of any shape return a *CorruptionError, never panic.
-func DecodeOp(payload []byte, d int) (Op, error) {
-	var op Op
+func decodeOp(payload []byte, d int) (opRecord, error) {
+	var op opRecord
 	if len(payload) < 1 {
 		return op, corrupt("empty op record")
 	}
-	op.Kind = OpKind(payload[0])
+	op.Kind = opKind(payload[0])
 	p := payload[1:]
 	switch op.Kind {
-	case OpItem:
+	case opItem:
 		if len(p) != (2+d)*8 {
 			return op, corrupt("item op has %d payload bytes, want %d for d=%d", len(p), (2+d)*8, d)
 		}
@@ -83,7 +83,7 @@ func DecodeOp(payload []byte, d int) (Op, error) {
 		for i := 0; i < d; i++ {
 			op.Size[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[16+8*i:]))
 		}
-	case OpAdvance:
+	case opAdvance:
 		if len(p) != 8 {
 			return op, corrupt("advance op has %d payload bytes, want 8", len(p))
 		}
@@ -97,35 +97,27 @@ func DecodeOp(payload []byte, d int) (Op, error) {
 	return op, nil
 }
 
-// OpLogData is a recovered operation log: the run identity, the rebuilt item
-// list, and the admission watermark the run must resume at.
-type OpLogData struct {
-	// Meta is the run's identity (the log's first record).
-	Meta RunMeta
-	// List is the item list rebuilt from the item records, in log order —
-	// exactly the list the run's WAL replays against.
-	List *item.List
-	// Ops is the full decoded operation stream.
-	Ops []Op
-	// Watermark is the run's admission floor: the largest arrival or advance
-	// target in the log. New arrivals below it would rewrite history.
-	Watermark float64
-	// MaxAdvance is the largest advance target (0 when none was logged);
-	// recovery re-runs the clock to it so acknowledged departures stay
-	// committed.
-	MaxAdvance float64
+// opLogData is a recovered operation log.
+type opLogData struct {
+	Meta RunMeta    // the run's identity (the log's first record)
+	List *item.List // the items in log order: the list the WAL replays against
+	Ops  []opRecord // the full decoded operation stream
+	// Watermark is the run's admission floor, the largest arrival or advance
+	// target; MaxAdvance is the largest advance target (0 when none), which
+	// recovery re-runs the clock to so acknowledged departures stay committed.
+	Watermark, MaxAdvance float64
 	// ValidSize is the byte prefix covered by intact records; Torn describes
 	// the discarded tail, nil when the file is clean.
 	ValidSize int64
 	Torn      *CorruptionError
 }
 
-// ReadOpLog reads and validates an operation log. Like WAL recovery, a torn
+// readOpLog reads and validates an operation log. Like WAL recovery, a torn
 // or checksum-damaged tail only truncates — the intact prefix is returned and
 // the defect reported in Torn — while a damaged header or meta record is
 // fatal. label names the run in every reported corruption. fsys nil means the
 // real filesystem.
-func ReadOpLog(fsys vfs.FS, path, label string) (*OpLogData, error) {
+func readOpLog(fsys vfs.FS, path, label string) (*opLogData, error) {
 	fd, err := ReadFile(fsys, path)
 	if err != nil {
 		if ce, ok := err.(*CorruptionError); ok {
@@ -142,81 +134,56 @@ func ReadOpLog(fsys vfs.FS, path, label string) (*OpLogData, error) {
 	if len(fd.Records) == 0 {
 		return nil, &CorruptionError{Run: label, Path: path, Offset: headerSize, Record: 0, Reason: "no run meta record survived"}
 	}
+	// at places a corruption at record i of this file.
+	at := func(err error, i int) *CorruptionError {
+		ce := err.(*CorruptionError)
+		ce.Run, ce.Path, ce.Offset, ce.Record = label, path, fd.Offsets[i], i
+		return ce
+	}
 	meta, err := decodeMeta(fd.Records[0])
 	if err != nil {
-		ce := err.(*CorruptionError)
-		ce.Run, ce.Path, ce.Offset, ce.Record = label, path, fd.Offsets[0], 0
-		return nil, ce
+		return nil, at(err, 0)
 	}
 	if !meta.Dynamic {
-		return nil, &CorruptionError{Run: label, Path: path, Offset: fd.Offsets[0], Record: 0, Reason: "op log belongs to a non-dynamic run"}
+		return nil, at(corrupt("op log belongs to a non-dynamic run"), 0)
 	}
-	out := &OpLogData{Meta: meta, List: item.NewList(meta.Dim), ValidSize: fd.ValidSize, Torn: fd.Torn}
-	for i, payload := range fd.Records[1:] {
-		op, err := DecodeOp(payload, meta.Dim)
+	out := &opLogData{Meta: meta, List: item.NewList(meta.Dim), ValidSize: fd.ValidSize, Torn: fd.Torn}
+	for i := 1; i < len(fd.Records); i++ {
+		op, err := decodeOp(fd.Records[i], meta.Dim)
 		if err != nil {
 			// An undecodable record truncates the log there, like a torn WAL
 			// tail: everything after it is unordered against the lost op.
-			ce := err.(*CorruptionError)
-			ce.Run, ce.Path, ce.Offset, ce.Record = label, path, fd.Offsets[i+1], i+1
-			out.Torn = ce
-			out.ValidSize = fd.Offsets[i+1]
+			out.Torn, out.ValidSize = at(err, i), fd.Offsets[i]
 			break
 		}
 		switch op.Kind {
-		case OpItem:
+		case opItem:
 			id := out.List.Add(op.Arrival, op.Departure, op.Size)
 			if err := out.List.Items[id].Validate(meta.Dim); err != nil {
-				ce := corrupt("invalid item op: %v", err)
-				ce.Run, ce.Path, ce.Offset, ce.Record = label, path, fd.Offsets[i+1], i+1
-				return nil, ce
+				return nil, at(corrupt("invalid item op: %v", err), i)
 			}
 			if op.Arrival < out.Watermark {
-				ce := corrupt("item op at arrival %g regresses below watermark %g", op.Arrival, out.Watermark)
-				ce.Run, ce.Path, ce.Offset, ce.Record = label, path, fd.Offsets[i+1], i+1
-				return nil, ce
+				return nil, at(corrupt("item op at arrival %g regresses below watermark %g", op.Arrival, out.Watermark), i)
 			}
 			out.Watermark = op.Arrival
-		case OpAdvance:
+		case opAdvance:
 			if op.To < out.Watermark {
-				ce := corrupt("advance op to %g regresses below watermark %g", op.To, out.Watermark)
-				ce.Run, ce.Path, ce.Offset, ce.Record = label, path, fd.Offsets[i+1], i+1
-				return nil, ce
+				return nil, at(corrupt("advance op to %g regresses below watermark %g", op.To, out.Watermark), i)
 			}
-			out.Watermark = op.To
-			if op.To > out.MaxAdvance {
-				out.MaxAdvance = op.To
-			}
+			// Advances never regress, so the latest is the largest.
+			out.Watermark, out.MaxAdvance = op.To, op.To
 		}
 		out.Ops = append(out.Ops, op)
 	}
 	return out, nil
 }
 
-// CreateOpLog creates (truncating) an op log for the given dynamic run and
-// durably writes its meta record. fsys nil means the real filesystem.
-func CreateOpLog(fsys vfs.FS, path string, meta RunMeta, syncEvery int) (*Writer, error) {
+// createOpLog creates (truncating) an op log for the given dynamic run with
+// its meta record durable. The writer syncs only on Sync and Close
+// (SyncManual), so a failed group-commit barrier can roll a whole batch back.
+func createOpLog(fsys vfs.FS, path string, meta RunMeta) (*Writer, error) {
 	if !meta.Dynamic {
 		return nil, fmt.Errorf("persist: op logs record dynamic runs; meta is static")
 	}
-	w, err := Create(fsys, path, KindOpLog, syncEvery)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Append(encodeMeta(meta)); err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		return nil, err
-	}
-	return w, nil
-}
-
-// ReopenOpLog reopens a recovered op log for appending, truncating the torn
-// tail ReadOpLog reported (validSize is OpLogData.ValidSize). fsys nil means
-// the real filesystem.
-func ReopenOpLog(fsys vfs.FS, path string, validSize int64, syncEvery int) (*Writer, error) {
-	return openAppend(vfs.OrOS(fsys), path, validSize, syncEvery)
+	return createLog(fsys, path, KindOpLog, meta, SyncManual)
 }

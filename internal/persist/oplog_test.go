@@ -16,27 +16,27 @@ import (
 
 func TestOpLogCodecRoundTrip(t *testing.T) {
 	d := 3
-	ops := []Op{
-		{Kind: OpItem, Arrival: 0, Departure: 4.5, Size: vector.Vector{0.25, 0.5, 0.125}},
-		{Kind: OpAdvance, To: 2},
-		{Kind: OpItem, Arrival: 2, Departure: 3, Size: vector.Vector{1, 0, 0.75}},
-		{Kind: OpAdvance, To: 10},
+	ops := []opRecord{
+		{Kind: opItem, Arrival: 0, Departure: 4.5, Size: vector.Vector{0.25, 0.5, 0.125}},
+		{Kind: opAdvance, To: 2},
+		{Kind: opItem, Arrival: 2, Departure: 3, Size: vector.Vector{1, 0, 0.75}},
+		{Kind: opAdvance, To: 10},
 	}
 	for i, want := range ops {
 		var buf []byte
-		if want.Kind == OpItem {
-			buf = AppendItemOp(nil, want.Arrival, want.Departure, want.Size)
+		if want.Kind == opItem {
+			buf = appendItemOp(nil, want.Arrival, want.Departure, want.Size)
 		} else {
-			buf = AppendAdvanceOp(nil, want.To)
+			buf = appendAdvanceOp(nil, want.To)
 		}
-		got, err := DecodeOp(buf, d)
+		got, err := decodeOp(buf, d)
 		if err != nil {
 			t.Fatalf("op %d: decode: %v", i, err)
 		}
 		if got.Kind != want.Kind || got.Arrival != want.Arrival || got.Departure != want.Departure || got.To != want.To {
 			t.Fatalf("op %d: got %+v want %+v", i, got, want)
 		}
-		if want.Kind == OpItem && !got.Size.Equal(want.Size, 0) {
+		if want.Kind == opItem && !got.Size.Equal(want.Size, 0) {
 			t.Fatalf("op %d: size %v want %v", i, got.Size, want.Size)
 		}
 	}
@@ -47,24 +47,24 @@ func TestOpLogCodecRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
 		"unknown kind":     {0x7f, 0, 0, 0, 0, 0, 0, 0, 0},
-		"short item":       AppendItemOp(nil, 1, 2, vector.Vector{0.5})[:10],
-		"wrong dim":        AppendItemOp(nil, 1, 2, vector.Vector{0.5, 0.5, 0.5}),
-		"long advance":     append(AppendAdvanceOp(nil, 3), 0),
-		"short advance":    AppendAdvanceOp(nil, 3)[:5],
-		"trailing on item": append(AppendItemOp(nil, 1, 2, vector.Vector{0.5, 0.5}), 0xAA),
+		"short item":       appendItemOp(nil, 1, 2, vector.Vector{0.5})[:10],
+		"wrong dim":        appendItemOp(nil, 1, 2, vector.Vector{0.5, 0.5, 0.5}),
+		"long advance":     append(appendAdvanceOp(nil, 3), 0),
+		"short advance":    appendAdvanceOp(nil, 3)[:5],
+		"trailing on item": append(appendItemOp(nil, 1, 2, vector.Vector{0.5, 0.5}), 0xAA),
 	}
 	for name, payload := range cases {
-		if _, err := DecodeOp(payload, d); err == nil {
+		if _, err := decodeOp(payload, d); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		} else if _, ok := err.(*CorruptionError); !ok {
 			t.Errorf("%s: error %T, want *CorruptionError", name, err)
 		}
 	}
-	nan := AppendAdvanceOp(nil, 0)
+	nan := appendAdvanceOp(nil, 0)
 	for i := 1; i < 9; i++ {
 		nan[i] = 0xff
 	}
-	if _, err := DecodeOp(nan, d); err == nil {
+	if _, err := decodeOp(nan, d); err == nil {
 		t.Errorf("NaN advance decoded without error")
 	}
 }
@@ -76,26 +76,26 @@ func TestOpLogFileRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "ops.dvbp")
 	meta := NewDynamicRunMeta(2, "firstfit", 7, "")
 
-	w, err := CreateOpLog(nil, path, meta, 1)
+	w, err := createOpLog(nil, path, meta)
 	if err != nil {
-		t.Fatalf("CreateOpLog: %v", err)
+		t.Fatalf("createOpLog: %v", err)
 	}
-	if err := w.Append(AppendItemOp(nil, 0, 5, vector.Vector{0.5, 0.25})); err != nil {
+	if err := w.Append(appendItemOp(nil, 0, 5, vector.Vector{0.5, 0.25})); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := w.Append(AppendItemOp(nil, 1, 2, vector.Vector{0.125, 0.5})); err != nil {
+	if err := w.Append(appendItemOp(nil, 1, 2, vector.Vector{0.125, 0.5})); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := w.Append(AppendAdvanceOp(nil, 3)); err != nil {
+	if err := w.Append(appendAdvanceOp(nil, 3)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
-	data, err := ReadOpLog(nil, path, "tenant-a")
+	data, err := readOpLog(nil, path, "tenant-a")
 	if err != nil {
-		t.Fatalf("ReadOpLog: %v", err)
+		t.Fatalf("readOpLog: %v", err)
 	}
 	if data.Torn != nil {
 		t.Fatalf("unexpected torn tail: %v", data.Torn)
@@ -114,8 +114,8 @@ func TestOpLogFileRoundTrip(t *testing.T) {
 	}
 
 	// Static meta must be refused at create time and read time.
-	if _, err := CreateOpLog(nil, filepath.Join(dir, "bad.dvbp"), NewRunMeta(testList(t, 5), "firstfit", 1, ""), 1); err == nil {
-		t.Fatalf("CreateOpLog accepted a static run meta")
+	if _, err := createOpLog(nil, filepath.Join(dir, "bad.dvbp"), NewRunMeta(testList(t, 5), "firstfit", 1, "")); err == nil {
+		t.Fatalf("createOpLog accepted a static run meta")
 	}
 }
 
@@ -123,12 +123,12 @@ func TestOpLogTornTailTruncatesAndReopens(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ops.dvbp")
 	meta := NewDynamicRunMeta(1, "nextfit", 1, "")
-	w, err := CreateOpLog(nil, path, meta, 1)
+	w, err := createOpLog(nil, path, meta)
 	if err != nil {
-		t.Fatalf("CreateOpLog: %v", err)
+		t.Fatalf("createOpLog: %v", err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := w.Append(AppendItemOp(nil, float64(i), float64(i)+1, vector.Vector{0.5})); err != nil {
+		if err := w.Append(appendItemOp(nil, float64(i), float64(i)+1, vector.Vector{0.5})); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -145,9 +145,9 @@ func TestOpLogTornTailTruncatesAndReopens(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	data, err := ReadOpLog(nil, path, "tenant-b")
+	data, err := readOpLog(nil, path, "tenant-b")
 	if err != nil {
-		t.Fatalf("ReadOpLog after tear: %v", err)
+		t.Fatalf("readOpLog after tear: %v", err)
 	}
 	if data.Torn == nil {
 		t.Fatalf("torn tail not reported")
@@ -160,19 +160,19 @@ func TestOpLogTornTailTruncatesAndReopens(t *testing.T) {
 	}
 
 	// Reopen at the valid prefix and continue; the log must read back whole.
-	w2, err := ReopenOpLog(nil, path, data.ValidSize, 1)
+	w2, err := openAppend(nil, path, data.ValidSize, SyncManual)
 	if err != nil {
-		t.Fatalf("ReopenOpLog: %v", err)
+		t.Fatalf("openAppend: %v", err)
 	}
-	if err := w2.Append(AppendItemOp(nil, 9, 11, vector.Vector{0.25})); err != nil {
+	if err := w2.Append(appendItemOp(nil, 9, 11, vector.Vector{0.25})); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 	if err := w2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	data2, err := ReadOpLog(nil, path, "tenant-b")
+	data2, err := readOpLog(nil, path, "tenant-b")
 	if err != nil {
-		t.Fatalf("ReadOpLog after reopen: %v", err)
+		t.Fatalf("readOpLog after reopen: %v", err)
 	}
 	if data2.Torn != nil || data2.List.Len() != 4 || data2.Watermark != 9 {
 		t.Fatalf("after reopen: torn=%v items=%d watermark=%g", data2.Torn, data2.List.Len(), data2.Watermark)
@@ -183,9 +183,9 @@ func TestOpLogRejectsSemanticCorruption(t *testing.T) {
 	dir := t.TempDir()
 	build := func(name string, ops ...[]byte) string {
 		path := filepath.Join(dir, name)
-		w, err := CreateOpLog(nil, path, NewDynamicRunMeta(1, "firstfit", 1, ""), 1)
+		w, err := createOpLog(nil, path, NewDynamicRunMeta(1, "firstfit", 1, ""))
 		if err != nil {
-			t.Fatalf("CreateOpLog: %v", err)
+			t.Fatalf("createOpLog: %v", err)
 		}
 		for _, op := range ops {
 			if err := w.Append(op); err != nil {
@@ -200,16 +200,16 @@ func TestOpLogRejectsSemanticCorruption(t *testing.T) {
 
 	cases := map[string]string{
 		"regressing arrival": build("regress.dvbp",
-			AppendItemOp(nil, 5, 6, vector.Vector{0.5}),
-			AppendItemOp(nil, 4, 6, vector.Vector{0.5})),
+			appendItemOp(nil, 5, 6, vector.Vector{0.5}),
+			appendItemOp(nil, 4, 6, vector.Vector{0.5})),
 		"regressing advance": build("advance.dvbp",
-			AppendAdvanceOp(nil, 5),
-			AppendAdvanceOp(nil, 4)),
+			appendAdvanceOp(nil, 5),
+			appendAdvanceOp(nil, 4)),
 		"invalid item": build("invalid.dvbp",
-			AppendItemOp(nil, 2, 1, vector.Vector{0.5})),
+			appendItemOp(nil, 2, 1, vector.Vector{0.5})),
 	}
 	for name, path := range cases {
-		_, err := ReadOpLog(nil, path, "tenant-c")
+		_, err := readOpLog(nil, path, "tenant-c")
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 			continue
@@ -227,8 +227,8 @@ func TestOpLogRejectsSemanticCorruption(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	w.Close()
-	if _, err := ReadOpLog(nil, wal, "tenant-c"); err == nil {
-		t.Fatalf("ReadOpLog accepted a WAL file")
+	if _, err := readOpLog(nil, wal, "tenant-c"); err == nil {
+		t.Fatalf("readOpLog accepted a WAL file")
 	}
 }
 
@@ -297,37 +297,50 @@ func TestRecoverLabelsCorruptionWithRun(t *testing.T) {
 	}
 }
 
-// --- dynamic runs through the session layer ---
+// --- dynamic runs (DynamicRun) ---
 
-// dynFeed appends one item to a dynamic session's engine, logs it to the op
-// log first (the durability ordering the server relies on), and steps the
-// session until the item's arrival event commits.
-func dynFeed(t *testing.T, ops *Writer, s *Session, arrival, departure float64, size vector.Vector) {
+// commitItem runs one single-request group commit through r, in the order a
+// server tenant runs it: admit the item (and, with advance, a clock advance
+// to its arrival), barrier 1, apply, barrier 2, then TakeIOStats, whose
+// counters are added to st. Admission itself never touches the disk, so a
+// refusal fails the test.
+func commitItem(t *testing.T, r *DynamicRun, it item.Item, advance bool, st *IOStats) error {
 	t.Helper()
-	if ops != nil {
-		if err := ops.Append(AppendItemOp(nil, arrival, departure, size)); err != nil {
-			t.Fatalf("op append: %v", err)
-		}
-		if err := ops.Sync(); err != nil {
-			t.Fatalf("op sync: %v", err)
-		}
+	err := r.AdmitItem(it.Arrival, it.Departure, it.Size)
+	if err == nil && advance {
+		err = r.AdmitAdvance(it.Arrival)
 	}
-	id, err := s.Engine().AppendArrival(arrival, departure, size)
 	if err != nil {
-		t.Fatalf("AppendArrival(%g): %v", arrival, err)
+		t.Fatalf("admitting arrival %g: %v", it.Arrival, err)
 	}
-	for {
-		rec, ok, err := s.Step()
-		if err != nil {
-			t.Fatalf("step: %v", err)
-		}
-		if !ok {
-			t.Fatalf("stream drained before arrival of item %d committed", id)
-		}
-		if rec.Class == core.EventArrival && rec.ItemID == id {
-			return
+	if err := r.SyncOps(); err != nil {
+		return err
+	}
+	if _, err := r.Place(it.Arrival, it.Departure, it.Size); err != nil {
+		return err
+	}
+	if advance {
+		if _, err := r.Advance(it.Arrival); err != nil {
+			return err
 		}
 	}
+	if err := r.SyncWAL(); err != nil {
+		return err
+	}
+	got, err := r.TakeIOStats()
+	st.Compactions += got.Compactions
+	st.OpLogCompactions += got.OpLogCompactions
+	return err
+}
+
+// finishDynamic closes r's op log and runs its engine to completion — the
+// end of a test run, which a server tenant never reaches.
+func finishDynamic(r *DynamicRun) (*core.Result, error) {
+	if err := r.ops.Close(); err != nil {
+		r.session.Close()
+		return nil, err
+	}
+	return r.session.Run()
 }
 
 // dynItems is a deterministic dynamic workload: non-decreasing arrivals with
@@ -349,95 +362,66 @@ func TestDynamicSessionKillRecoverResume(t *testing.T) {
 	const n, killAt = 90, 60
 	items := dynItems(n)
 	meta := NewDynamicRunMeta(2, "firstfit", 11, "")
-
-	// Uninterrupted reference: same stream, no crash.
-	runAll := func(dir string) string {
-		e, err := core.NewEngine(item.NewList(2), newTestPolicy(t, "firstfit"), core.WithDynamicArrivals())
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err := Begin(e, meta, Config{Dir: dir, Every: 25, SyncEvery: 1})
-		if err != nil {
-			t.Fatalf("Begin: %v", err)
-		}
+	var st IOStats
+	feed := func(r *DynamicRun, items []item.Item) {
 		for _, it := range items {
-			dynFeed(t, nil, s, it.Arrival, it.Departure, it.Size)
+			if err := commitItem(t, r, it, false, &st); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
 		}
-		res, err := s.Run()
+	}
+	finish := func(r *DynamicRun) string {
+		res, err := finishDynamic(r)
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("finish: %v", err)
 		}
 		return resultJSON(t, res)
 	}
-	want := runAll(t.TempDir())
 
-	// Interrupted run: feed killAt items with an op log riding along, then
-	// abandon the session (Close syncs, standing in for the crash survivor
-	// state — torture_test covers literal torn tails).
+	// Uninterrupted reference: same stream, no crash.
+	ref, err := CreateDynamic(meta, Config{Dir: t.TempDir(), Every: 25})
+	if err != nil {
+		t.Fatalf("CreateDynamic: %v", err)
+	}
+	feed(ref, items)
+	want := finish(ref)
+
+	// Interrupted run: feed killAt items, then abandon the run (Close syncs,
+	// standing in for the crash survivor state — the crash-point sweeps cover
+	// literal torn tails).
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Label: "tenant-dyn", Every: 25, SyncEvery: 1}
-	opsPath := filepath.Join(dir, "ops.dvbp")
-	ops, err := CreateOpLog(nil, opsPath, meta, 1)
+	cfg := Config{Dir: dir, Label: "tenant-dyn", Every: 25}
+	r, err := CreateDynamic(meta, cfg)
 	if err != nil {
-		t.Fatalf("CreateOpLog: %v", err)
+		t.Fatalf("CreateDynamic: %v", err)
 	}
-	e, err := core.NewEngine(item.NewList(2), newTestPolicy(t, "firstfit"), core.WithDynamicArrivals())
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	s, err := Begin(e, meta, cfg)
-	if err != nil {
-		t.Fatalf("Begin: %v", err)
-	}
-	for _, it := range items[:killAt] {
-		dynFeed(t, ops, s, it.Arrival, it.Departure, it.Size)
-	}
-	if err := s.Close(); err != nil {
+	feed(r, items[:killAt])
+	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-	if err := ops.Close(); err != nil {
-		t.Fatalf("ops close: %v", err)
 	}
 
 	// Recover: rebuild the list from the op log, then replay the WAL against
 	// it. The snapshot taken mid-stream covers a strict prefix of the op-log
 	// list; recovery must accept it and replay the rest.
-	logged, err := ReadOpLog(nil, opsPath, "tenant-dyn")
+	r, rec, err := OpenDynamic(meta, cfg)
 	if err != nil {
-		t.Fatalf("ReadOpLog: %v", err)
+		t.Fatalf("OpenDynamic: %v", err)
 	}
-	if logged.List.Len() != killAt {
-		t.Fatalf("op log rebuilt %d items, want %d", logged.List.Len(), killAt)
-	}
-	rec, err := Recover(logged.List, cfg, core.WithDynamicArrivals())
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
+	if got := r.Engine().Stats().Items; got != killAt {
+		t.Fatalf("op log rebuilt %d items, want %d", got, killAt)
 	}
 	if rec.SnapshotSeq == 0 {
 		t.Fatalf("recovery used no snapshot despite checkpoints every 25 events")
 	}
-	ops2, err := ReopenOpLog(nil, opsPath, logged.ValidSize, 1)
-	if err != nil {
-		t.Fatalf("ReopenOpLog: %v", err)
-	}
-	for _, it := range items[killAt:] {
-		dynFeed(t, ops2, rec.Session, it.Arrival, it.Departure, it.Size)
-	}
-	res, err := rec.Session.Run()
-	if err != nil {
-		t.Fatalf("resumed Run: %v", err)
-	}
-	if err := ops2.Close(); err != nil {
-		t.Fatalf("ops close: %v", err)
-	}
-	if got := resultJSON(t, res); got != want {
+	feed(r, items[killAt:])
+	if got := finish(r); got != want {
 		t.Fatalf("recovered dynamic run diverged from uninterrupted run\ngot:  %s\nwant: %s", got, want)
 	}
 
 	// The whole stream must also have made it into the op log.
-	final, err := ReadOpLog(nil, opsPath, "tenant-dyn")
+	final, err := readOpLog(nil, filepath.Join(dir, opsFile), "tenant-dyn")
 	if err != nil {
-		t.Fatalf("final ReadOpLog: %v", err)
+		t.Fatalf("final readOpLog: %v", err)
 	}
 	if final.List.Len() != n {
 		t.Fatalf("final op log holds %d items, want %d", final.List.Len(), n)

@@ -12,6 +12,7 @@ import (
 // File names inside a checkpoint directory.
 const (
 	walFile    = "wal.dvbp"
+	opsFile    = "ops.dvbp" // dynamic runs only (DynamicRun)
 	snapPrefix = "snap-"
 	snapSuffix = ".dvbp"
 )
@@ -47,7 +48,8 @@ type Config struct {
 	// automatic checkpoints (the WAL alone still recovers via full replay).
 	Every int64
 	// SyncEvery batches WAL fsyncs (default 64 records; SyncManual disables
-	// auto-sync so only explicit barriers reach the device).
+	// auto-sync so only explicit barriers reach the device). Dynamic runs
+	// ignore it: a DynamicRun always syncs manually.
 	SyncEvery int
 	// Aux subsystems checkpointed alongside the engine.
 	Aux []AuxCodec
@@ -74,8 +76,10 @@ type IOStats struct {
 	CheckpointsSkipped int64
 	// Compactions counts completed WAL compactions.
 	Compactions int64
-	// ReclaimedBytes sums the on-disk bytes compaction reclaimed (WAL prefix
-	// plus pruned snapshots).
+	// OpLogCompactions counts completed op-log compactions (DynamicRun).
+	OpLogCompactions int64
+	// ReclaimedBytes sums the on-disk bytes compaction reclaimed (WAL prefix,
+	// pruned snapshots, a DynamicRun's op log).
 	ReclaimedBytes int64
 }
 
@@ -125,19 +129,11 @@ func Begin(e *core.Engine, meta RunMeta, cfg Config) (*Session, error) {
 			return nil, ioErr("remove", f.name, err)
 		}
 	}
-	wal, err := Create(fsys, filepath.Join(cfg.Dir, walFile), KindWAL, cfg.SyncEvery)
+	wal, err := createLog(fsys, filepath.Join(cfg.Dir, walFile), KindWAL, meta, cfg.SyncEvery)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{cfg: cfg, fsys: fsys, meta: meta, engine: e, wal: wal}
-	if err := wal.Append(encodeMeta(meta)); err != nil {
-		wal.Close()
-		return nil, err
-	}
-	if err := wal.Sync(); err != nil {
-		wal.Close()
-		return nil, err
-	}
 	if err := syncDir(fsys, cfg.Dir); err != nil {
 		wal.Close()
 		return nil, err

@@ -127,164 +127,50 @@ func TestDiskTortureCrashPointsStatic(t *testing.T) {
 // dynTortureMeta is the dynamic sweep's run identity.
 func dynTortureMeta() RunMeta { return NewDynamicRunMeta(2, "firstfit", 11, "") }
 
-// driveDynamicTorture runs the tenant-shaped two-barrier protocol over fsys:
-// op durable (barrier 1) before the engine steps, WAL durable (barrier 2)
-// before the next item, an advance every third item, a WAL compaction behind
-// every checkpoint, and an op-log compaction every tenth item. fresh=false
-// resumes from whatever the directory durably holds, exactly like the
-// server's recoverTenant: rebuild the list from the op log, replay the WAL,
-// re-run the clock to the last durable advance, then feed the remaining
-// suffix of items (identified positionally — the op log's item count is the
-// resume cursor).
-func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh bool) (*core.Result, error) {
+// driveDynamicTorture feeds items through a DynamicRun on fsys — the type
+// the server's tenants run — one single-request group commit per item, with
+// an advance every third item and checkpoints every 8 events, each followed
+// by a WAL compaction and, in tandem, an op-log compaction. fresh=false
+// resumes from whatever the directory durably holds through OpenDynamic and
+// feeds the remaining suffix of items (identified positionally: the
+// recovered item count is the resume cursor). It returns the finished run's
+// result and the compaction counts it saw.
+func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh bool) (*core.Result, IOStats, error) {
 	t.Helper()
-	const dir = "tenant"
-	path := filepath.Join(dir, "ops.dvbp")
-	meta := dynTortureMeta()
-	cfg := Config{Dir: dir, Label: "dyn", Every: 8, SyncEvery: 2, FS: fsys, Compact: true}
-
-	var s *Session
-	var ops *Writer
-	from := 0
+	cfg := Config{Dir: "tenant", Label: "dyn", Every: 8, FS: fsys, Compact: true}
+	var st IOStats
+	var r *DynamicRun
+	var err error
 	if fresh {
-		if err := vfs.OrOS(fsys).MkdirAll(dir, 0o755); err != nil {
-			return nil, ioErr("mkdir", dir, err)
-		}
-		var err error
-		ops, err = CreateOpLog(fsys, path, meta, SyncManual)
-		if err != nil {
-			return nil, err
-		}
-		e, err := core.NewEngine(item.NewList(2), newTestPolicy(t, "firstfit"), core.WithDynamicArrivals())
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err = Begin(e, meta, cfg)
-		if err != nil {
-			e.Close()
-			ops.Discard()
-			return nil, err
-		}
+		r, err = CreateDynamic(dynTortureMeta(), cfg)
 	} else {
-		logged, err := ReadOpLog(fsys, path, "dyn")
-		if err != nil {
-			return nil, err
-		}
-		if logged.Meta != meta {
-			t.Fatalf("op log identity drifted: %+v", logged.Meta)
-		}
-		rec, err := Recover(logged.List, cfg, core.WithDynamicArrivals())
-		if err != nil {
-			if logged.List.Len() > 0 {
-				t.Fatalf("op log holds %d items but WAL recovery failed: %v", logged.List.Len(), err)
-			}
-			return nil, err
-		}
-		s = rec.Session
-		for {
-			tt, ok := s.Engine().PeekTime()
-			if !ok || tt > logged.MaxAdvance {
-				break
-			}
-			if _, ok, err := s.Step(); err != nil {
-				s.Close()
-				return nil, err
-			} else if !ok {
-				break
-			}
-		}
-		if err := s.Sync(); err != nil {
-			s.Close()
-			return nil, err
-		}
-		ops, err = ReopenOpLog(fsys, path, logged.ValidSize, SyncManual)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		from = logged.List.Len()
+		r, _, err = OpenDynamic(dynTortureMeta(), cfg)
 	}
-
-	fail := func(err error) (*core.Result, error) {
-		s.Close()
-		ops.Discard()
-		return nil, err
+	if err != nil {
+		return nil, st, err
 	}
-	for i := from; i < len(items); i++ {
-		it := items[i]
-		if err := ops.Append(AppendItemOp(nil, it.Arrival, it.Departure, it.Size)); err != nil {
-			return fail(err)
-		}
-		adv := i%3 == 2
-		if adv {
-			if err := ops.Append(AppendAdvanceOp(nil, it.Arrival)); err != nil {
-				return fail(err)
-			}
-		}
-		if err := ops.Sync(); err != nil { // barrier 1: admission durable
-			return fail(err)
-		}
-		id, err := s.Engine().AppendArrival(it.Arrival, it.Departure, it.Size)
-		if err != nil {
-			t.Fatalf("AppendArrival(%g): %v", it.Arrival, err)
-		}
-		for {
-			rec, ok, err := s.Step()
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				t.Fatalf("stream drained before arrival of item %d committed", id)
-			}
-			if rec.Class == core.EventArrival && rec.ItemID == id {
-				break
-			}
-		}
-		if adv {
-			for {
-				tt, ok := s.Engine().PeekTime()
-				if !ok || tt > it.Arrival {
-					break
-				}
-				if _, ok, err := s.Step(); err != nil {
-					return fail(err)
-				} else if !ok {
-					break
-				}
-			}
-		}
-		if err := s.Sync(); err != nil { // barrier 2: events durable
-			return fail(err)
-		}
-		if i%10 == 9 {
-			w, _, err := CompactOpLog(fsys, path, "dyn", SyncManual)
-			if err != nil {
-				return fail(err)
-			}
-			if w != nil {
-				ops.Discard()
-				ops = w
-			}
+	for i := r.Engine().Stats().Items; i < len(items); i++ {
+		if err := commitItem(t, r, items[i], i%3 == 2, &st); err != nil {
+			r.Close()
+			return nil, st, err
 		}
 	}
-	if err := ops.Close(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s.Run()
+	res, err := finishDynamic(r)
+	return res, st, err
 }
 
 // TestDiskTortureCrashPointsDynamic is the dynamic-run (multi-tenant-shaped)
-// crash-point sweep: the two-barrier op-log + WAL protocol, with both
-// compaction paths active, killed at every FS operation in turn and resumed
-// through the same recovery the server uses. The final packing must come out
-// byte-identical at every crash point — that is the acknowledged-placements
-// contract made exhaustive.
+// crash-point sweep: the server's two-barrier op-log + WAL protocol, run by
+// the production DynamicRun with both compaction paths active, killed at
+// every FS operation in turn and resumed through OpenDynamic, the recovery
+// the server uses. The final packing must come out byte-identical at every
+// crash point — that is the acknowledged-placements contract made
+// exhaustive.
 func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	items := dynItems(45)
 
 	base := vfs.NewMem()
-	res, err := driveDynamicTorture(t, items, base, true)
+	res, st, err := driveDynamicTorture(t, items, base, true)
 	if err != nil {
 		t.Fatalf("baseline drive: %v", err)
 	}
@@ -293,12 +179,15 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	if total < 100 {
 		t.Fatalf("baseline drive performed only %d mutating FS ops", total)
 	}
+	if st.Compactions == 0 || st.OpLogCompactions == 0 {
+		t.Fatalf("baseline drive ran %d WAL and %d op-log compactions; the sweep needs both", st.Compactions, st.OpLogCompactions)
+	}
 
 	fallbacks, recovered := 0, 0
 	for i := int64(1); i <= total; i++ {
 		m := vfs.NewMem()
 		m.SetCrashPoint(i, vfs.CrashMode(i%3), 3+11*i)
-		_, err := driveDynamicTorture(t, items, m, true)
+		_, _, err := driveDynamicTorture(t, items, m, true)
 		if err == nil {
 			t.Fatalf("crash point %d/%d never fired", i, total)
 		}
@@ -307,13 +196,16 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 		}
 		m.Restart()
 
-		res, rerr := driveDynamicTorture(t, items, m, false)
+		res, _, rerr := driveDynamicTorture(t, items, m, false)
 		if rerr != nil {
 			if !tortureCrashOK(rerr) {
 				t.Fatalf("crash point %d/%d (mode %s): resume failed: %v", i, total, vfs.CrashMode(i%3), rerr)
 			}
+			if logged, err := readOpLog(m, filepath.Join("tenant", opsFile), "dyn"); err == nil && logged.List.Len() > 0 {
+				t.Fatalf("crash point %d: op log holds %d items but recovery found no run: %v", i, logged.List.Len(), rerr)
+			}
 			// Crash predates any durable admission: fresh start is honest.
-			if res, rerr = driveDynamicTorture(t, items, m, true); rerr != nil {
+			if res, _, rerr = driveDynamicTorture(t, items, m, true); rerr != nil {
 				t.Fatalf("crash point %d: fresh restart failed: %v", i, rerr)
 			}
 			fallbacks++
@@ -443,17 +335,17 @@ func TestCompactOpLogCollapsesAdvances(t *testing.T) {
 	}
 	path := "d/ops.dvbp"
 	meta := dynTortureMeta()
-	w, err := CreateOpLog(m, path, meta, SyncManual)
+	w, err := createOpLog(m, path, meta)
 	if err != nil {
-		t.Fatalf("CreateOpLog: %v", err)
+		t.Fatalf("createOpLog: %v", err)
 	}
 	items := dynItems(12)
 	for i, it := range items {
-		if err := w.Append(AppendItemOp(nil, it.Arrival, it.Departure, it.Size)); err != nil {
+		if err := w.Append(appendItemOp(nil, it.Arrival, it.Departure, it.Size)); err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 1 {
-			if err := w.Append(AppendAdvanceOp(nil, it.Arrival)); err != nil {
+			if err := w.Append(appendAdvanceOp(nil, it.Arrival)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -461,19 +353,19 @@ func TestCompactOpLogCollapsesAdvances(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before, err := ReadOpLog(m, path, "dyn")
+	before, err := readOpLog(m, path, "dyn")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	w2, reclaimed, err := CompactOpLog(m, path, "dyn", SyncManual)
+	w2, reclaimed, err := compactOpLog(m, path, "dyn")
 	if err != nil {
-		t.Fatalf("CompactOpLog: %v", err)
+		t.Fatalf("compactOpLog: %v", err)
 	}
 	if w2 == nil || reclaimed <= 0 {
 		t.Fatalf("compaction was a no-op (writer %v, reclaimed %d) on a log with 6 advances", w2, reclaimed)
 	}
-	after, err := ReadOpLog(m, path, "dyn")
+	after, err := readOpLog(m, path, "dyn")
 	if err != nil {
 		t.Fatalf("rewritten log unreadable: %v", err)
 	}
@@ -492,7 +384,7 @@ func TestCompactOpLogCollapsesAdvances(t *testing.T) {
 	}
 	advances := 0
 	for _, op := range after.Ops {
-		if op.Kind == OpAdvance {
+		if op.Kind == opAdvance {
 			advances++
 		}
 	}
@@ -501,13 +393,13 @@ func TestCompactOpLogCollapsesAdvances(t *testing.T) {
 	}
 
 	// The returned writer continues the log.
-	if err := w2.Append(AppendItemOp(nil, after.Watermark+1, after.Watermark+2, items[0].Size)); err != nil {
+	if err := w2.Append(appendItemOp(nil, after.Watermark+1, after.Watermark+2, items[0].Size)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	final, err := ReadOpLog(m, path, "dyn")
+	final, err := readOpLog(m, path, "dyn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +408,7 @@ func TestCompactOpLogCollapsesAdvances(t *testing.T) {
 	}
 
 	// A log with a single advance has nothing to collapse.
-	if w3, _, err := CompactOpLog(m, path, "dyn", SyncManual); err != nil || w3 != nil {
+	if w3, _, err := compactOpLog(m, path, "dyn"); err != nil || w3 != nil {
 		t.Fatalf("second compaction: writer %v err %v, want no-op", w3, err)
 	}
 }
@@ -587,6 +479,62 @@ func TestWriterRollbackAndRetry(t *testing.T) {
 	}
 	if fd.Torn != nil {
 		t.Fatalf("rollback left a torn tail: %v", fd.Torn)
+	}
+}
+
+// TestDynamicRunRollbackRestoresWatermark pins barrier 1's all-or-nothing
+// rollback: a batch whose op-log sync the disk refuses leaves no trace. The
+// watermark returns to its last durable value, so the refused arrivals are
+// admissible again, and after the disk heals and the run is reopened, the
+// op log holds exactly the committed items.
+func TestDynamicRunRollbackRestoresWatermark(t *testing.T) {
+	inj := vfs.NewInjector(vfs.NewMem())
+	cfg := Config{Dir: "tenant", Label: "dyn", FS: inj}
+	r, err := CreateDynamic(dynTortureMeta(), cfg)
+	if err != nil {
+		t.Fatalf("CreateDynamic: %v", err)
+	}
+	items := dynItems(4) // arrivals 0, 0, 0, 1
+	var st IOStats
+	if err := commitItem(t, r, items[0], false, &st); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+
+	// A batch of an item at arrival 1 and an advance to 5; the disk refuses
+	// barrier 1 after the write landed, so the rollback must truncate.
+	if err := r.AdmitItem(items[3].Arrival, items[3].Departure, items[3].Size); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AdmitAdvance(5); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetSticky(syscall.ENOSPC, vfs.FaultSync)
+	if err := r.SyncOps(); Classify(err) != ClassDiskFull {
+		t.Fatalf("barrier 1 on a full disk: %v, want disk_full", err)
+	}
+	if err := r.RollbackOps(); err != nil {
+		t.Fatalf("RollbackOps: %v", err)
+	}
+	inj.ClearSticky()
+	if wm := r.Watermark(); wm != 0 {
+		t.Fatalf("watermark %g after rollback, want 0", wm)
+	}
+	for _, it := range items[1:3] {
+		if err := commitItem(t, r, it, false, &st); err != nil {
+			t.Fatalf("commit after rollback: %v", err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	r, _, err = OpenDynamic(dynTortureMeta(), cfg)
+	if err != nil {
+		t.Fatalf("OpenDynamic: %v", err)
+	}
+	defer r.Close()
+	if got := r.Engine().Stats().Items; got != 3 || r.Watermark() != 0 {
+		t.Fatalf("reopened run holds %d items at watermark %g, want 3 at 0", got, r.Watermark())
 	}
 }
 

@@ -9,9 +9,9 @@
 // are appended to the tenant's op log and synced before the engine steps
 // (so the WAL never references an item the op log could lose), and the WAL is
 // synced before any client is acknowledged (so an acknowledged placement
-// survives SIGKILL). Recovery rebuilds each tenant's item list from its op
-// log, replays the WAL against it with bit-for-bit verification, and re-runs
-// the clock to the last logged advance; see DESIGN.md §12.
+// survives SIGKILL). That protocol and recovery belong to persist.DynamicRun;
+// this package adds queueing, batching, HTTP error mapping, the
+// retry/degrade/poison policy for failed barriers, and metrics (DESIGN.md §12).
 //
 // Backpressure is explicit: a full tenant queue answers 429, an expired
 // request deadline or a draining server answers 503, and /healthz–/readyz

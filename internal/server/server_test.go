@@ -45,8 +45,10 @@ func newLocalServer(t testing.TB, srv *Server) string {
 	return ts.URL
 }
 
-// call issues one JSON request and decodes the JSON response, returning the
-// status code.
+// call issues one JSON request and decodes the JSON response into out (when
+// non-nil), returning the status code. The body is always read to EOF before
+// it is closed, so the client's keep-alive connection is reused rather than
+// redialled on the next call.
 func call(t testing.TB, method, url string, body any, out any) int {
 	t.Helper()
 	var rd io.Reader
@@ -71,6 +73,7 @@ func call(t testing.TB, method, url string, body any, out any) int {
 			t.Fatalf("%s %s: decoding response: %v", method, url, err)
 		}
 	}
+	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode
 }
 
@@ -187,8 +190,8 @@ func f(v float64) *float64 { return &v }
 // metric on a mixed-imbalance fleet — the case the legacy dominant-dimension
 // heuristic undercounts. Two bins with mirrored loads (0.875, 0.25) and
 // (0.25, 0.875) strand 0.625 capacity in EACH dimension (each bin's free
-// capacity is locked behind its own binding dimension), while the old
-// StrandedBins = OpenBins − max_d OpenLoad[d] formula sees only 0.875 total.
+// capacity is locked behind its own binding dimension), while the removed
+// stranded_bins = OpenBins − max_d OpenLoad[d] formula saw only 0.875 total.
 // All sizes are dyadic, so every comparison is exact.
 func TestServerStrandedAccounting(t *testing.T) {
 	ts, _ := newTestServer(t, t.TempDir(), Limits{})
@@ -216,24 +219,19 @@ func TestServerStrandedAccounting(t *testing.T) {
 	if st.StrandedCapacity != 1.25 {
 		t.Errorf("stranded capacity %v, want 1.25", st.StrandedCapacity)
 	}
-	// The deprecated heuristic keeps its old (undercounting) value for JSON
-	// compatibility: 2 − max(1.125, 1.125).
-	if st.StrandedBins != 0.875 {
-		t.Errorf("legacy stranded bins %v, want 0.875", st.StrandedBins)
-	}
 }
 
 // TestServerStrandedChurnConsistent drives a tenant through bin open/close
 // churn and a torn-tail crash recovery, then pins every /status fragmentation
-// field — open_load, stranded_per_dim, stranded_capacity, and the deprecated
-// stranded_bins — against an independent metrics.FragOf recompute on a
+// field — open_load, stranded_per_dim and stranded_capacity — against an
+// independent metrics.FragOf recompute on a
 // replica engine fed the same items. The two derived fields must also agree
 // with each other's definition off the same snapshot, so they cannot drift
 // apart under churn. All sizes are dyadic, so every comparison is exact.
 func TestServerStrandedChurnConsistent(t *testing.T) {
 	root := t.TempDir()
 	reg := metrics.NewRegistry()
-	store, err := OpenStore(root, Limits{SyncEvery: 1}, reg)
+	store, err := OpenStore(root, Limits{}, reg)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -269,7 +267,7 @@ func TestServerStrandedChurnConsistent(t *testing.T) {
 		fh.Close()
 	}
 	reg2 := metrics.NewRegistry()
-	store2, err := OpenStore(root, Limits{SyncEvery: 1}, reg2)
+	store2, err := OpenStore(root, Limits{}, reg2)
 	if err != nil {
 		t.Fatalf("reopening store: %v", err)
 	}
@@ -318,7 +316,7 @@ func TestServerStrandedChurnConsistent(t *testing.T) {
 	if st.OpenBins != fs.OpenBins {
 		t.Errorf("open bins %d, FragOf recompute says %d", st.OpenBins, fs.OpenBins)
 	}
-	var cap_, maxLoad float64
+	var cap_ float64
 	for d := 0; d < cfg.Dim; d++ {
 		if st.OpenLoad[d] != fs.Load[d] {
 			t.Errorf("open load dim %d = %v, FragOf recompute says %v", d, st.OpenLoad[d], fs.Load[d])
@@ -327,15 +325,9 @@ func TestServerStrandedChurnConsistent(t *testing.T) {
 			t.Errorf("stranded dim %d = %v, FragOf recompute says %v", d, st.StrandedPerDim[d], fs.Stranded[d])
 		}
 		cap_ += fs.Stranded[d]
-		if fs.Load[d] > maxLoad {
-			maxLoad = fs.Load[d]
-		}
 	}
 	if st.StrandedCapacity != cap_ {
 		t.Errorf("stranded capacity %v, FragOf recompute says %v", st.StrandedCapacity, cap_)
-	}
-	if want := float64(fs.OpenBins) - maxLoad; st.StrandedBins != want {
-		t.Errorf("legacy stranded bins %v, FragOf recompute says %v", st.StrandedBins, want)
 	}
 }
 

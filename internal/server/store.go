@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"dvbp/internal/core"
-	"dvbp/internal/item"
 	"dvbp/internal/metrics"
 	"dvbp/internal/persist"
 	"dvbp/internal/vfs"
@@ -21,13 +20,9 @@ import (
 // Store directory layout:
 //
 //	root/tenants.json       manifest: []TenantConfig, atomically replaced
-//	root/<tenant>/ops.dvbp  the tenant's op log (persist.KindOpLog)
-//	root/<tenant>/wal.dvbp  the tenant's write-ahead log
-//	root/<tenant>/snap-*    the tenant's checkpoints
-const (
-	manifestFile = "tenants.json"
-	opsFile      = "ops.dvbp"
-)
+//	root/<tenant>/          the tenant's persist.DynamicRun: op log ops.dvbp,
+//	                        write-ahead log wal.dvbp, checkpoints snap-*
+const manifestFile = "tenants.json"
 
 // tenantName pins the tenant-name grammar: path-safe, no dots, no
 // separators, bounded length.
@@ -110,7 +105,7 @@ func OpenStore(root string, limits Limits, reg *metrics.Registry) (*Store, error
 		return nil, err
 	}
 	for _, cfg := range cfgs {
-		t, err := s.recoverTenant(cfg)
+		t, err := s.openTenant(cfg, false)
 		if err != nil {
 			for _, live := range s.tenants {
 				live.close()
@@ -173,7 +168,32 @@ func checkConfig(cfg TenantConfig) *apiError {
 	return nil
 }
 
-// Create provisions a fresh tenant: directory, op log, WAL, worker. The
+// openTenant creates a fresh run for cfg (create) or recovers its run from
+// the tenant's directory (persist.OpenDynamic), then starts its worker.
+func (s *Store) openTenant(cfg TenantConfig, create bool) (*Tenant, error) {
+	if aerr := checkConfig(cfg); aerr != nil {
+		return nil, aerr
+	}
+	meta := persist.NewDynamicRunMeta(cfg.Dim, cfg.Policy, cfg.Seed, "")
+	pcfg := persist.Config{Dir: filepath.Join(s.root, cfg.Name), Label: cfg.Name,
+		Every: cfg.CheckpointEvery, FS: s.fs, Compact: cfg.CheckpointEvery > 0}
+	var run *persist.DynamicRun
+	var rec *persist.Recovery
+	var err error
+	if create {
+		run, err = persist.CreateDynamic(meta, pcfg)
+	} else if run, rec, err = persist.OpenDynamic(meta, pcfg); err == nil {
+		s.m.corruptions.Add(uint64(len(rec.Corruptions)))
+	}
+	if err != nil {
+		return nil, err
+	}
+	t := newTenant(cfg, pcfg.Dir, s.limits, s.m)
+	t.start(run)
+	return t, nil
+}
+
+// Create provisions a fresh tenant: its run's files, then its worker. The
 // manifest is updated only after the tenant's files are durably in place.
 func (s *Store) Create(cfg TenantConfig) (*Tenant, *apiError) {
 	if aerr := checkConfig(cfg); aerr != nil {
@@ -187,39 +207,10 @@ func (s *Store) Create(cfg TenantConfig) (*Tenant, *apiError) {
 	if _, dup := s.tenants[cfg.Name]; dup {
 		return nil, errf(http.StatusConflict, "tenant_exists", "tenant %q already exists", cfg.Name)
 	}
-	dir := filepath.Join(s.root, cfg.Name)
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, errf(http.StatusInternalServerError, "io", "creating tenant directory: %v", err)
-	}
-	meta := persist.NewDynamicRunMeta(cfg.Dim, cfg.Policy, cfg.Seed, "")
-	// The op log writer syncs only at the group-commit barrier (SyncManual):
-	// a failed barrier can then roll the whole batch back, all-or-nothing,
-	// with no auto-sync having leaked half of it to the device.
-	ops, err := persist.CreateOpLog(s.fs, filepath.Join(dir, opsFile), meta, persist.SyncManual)
+	t, err := s.openTenant(cfg, true)
 	if err != nil {
-		return nil, errf(http.StatusInternalServerError, "io", "creating op log: %v", err)
+		return nil, errf(http.StatusInternalServerError, "io", "creating tenant: %v", err)
 	}
-	p, err := core.NewPolicy(cfg.Policy, cfg.Seed)
-	if err != nil {
-		ops.Close()
-		return nil, errf(http.StatusBadRequest, "bad_policy", "%v", err)
-	}
-	engine, err := core.NewEngine(item.NewList(cfg.Dim), p, core.WithDynamicArrivals())
-	if err != nil {
-		ops.Close()
-		return nil, errf(http.StatusInternalServerError, "engine", "%v", err)
-	}
-	session, err := persist.Begin(engine, meta, persist.Config{
-		Dir: dir, Label: cfg.Name, Every: cfg.CheckpointEvery, SyncEvery: s.limits.SyncEvery,
-		FS: s.fs, Compact: cfg.CheckpointEvery > 0,
-	})
-	if err != nil {
-		engine.Close()
-		ops.Close()
-		return nil, errf(http.StatusInternalServerError, "io", "starting session: %v", err)
-	}
-	t := newTenant(cfg, dir, s.limits, s.m)
-	t.start(session, ops, 0)
 	s.tenants[cfg.Name] = t
 	if err := s.writeManifest(); err != nil {
 		delete(s.tenants, cfg.Name)
@@ -227,63 +218,6 @@ func (s *Store) Create(cfg TenantConfig) (*Tenant, *apiError) {
 		return nil, errf(http.StatusInternalServerError, "io", "writing manifest: %v", err)
 	}
 	s.m.tenants.Set(float64(len(s.tenants)))
-	return t, nil
-}
-
-// recoverTenant rebuilds one tenant from its directory: item list and
-// watermark from the op log, engine state from snapshot + verified WAL
-// replay, then the clock re-run to the last durable advance target so
-// acknowledged departures stay committed.
-func (s *Store) recoverTenant(cfg TenantConfig) (*Tenant, error) {
-	if aerr := checkConfig(cfg); aerr != nil {
-		return nil, aerr
-	}
-	dir := filepath.Join(s.root, cfg.Name)
-	logged, err := persist.ReadOpLog(s.fs, filepath.Join(dir, opsFile), cfg.Name)
-	if err != nil {
-		return nil, err
-	}
-	if logged.Torn != nil {
-		s.m.corruptions.Inc()
-	}
-	if want := persist.NewDynamicRunMeta(cfg.Dim, cfg.Policy, cfg.Seed, ""); logged.Meta != want {
-		return nil, fmt.Errorf("op log identity %+v disagrees with manifest %+v", logged.Meta, want)
-	}
-	rec, err := persist.Recover(logged.List, persist.Config{
-		Dir: dir, Label: cfg.Name, Every: cfg.CheckpointEvery, SyncEvery: s.limits.SyncEvery,
-		FS: s.fs, Compact: cfg.CheckpointEvery > 0,
-	}, core.WithDynamicArrivals())
-	if err != nil {
-		return nil, err
-	}
-	s.m.corruptions.Add(uint64(len(rec.Corruptions)))
-
-	// An advance op can be durable while the events it committed are not
-	// (crash between the two barriers). Re-run the clock to the last logged
-	// advance; determinism makes this produce the lost events verbatim.
-	for {
-		tt, ok := rec.Session.Engine().PeekTime()
-		if !ok || tt > logged.MaxAdvance {
-			break
-		}
-		if _, ok, err := rec.Session.Step(); err != nil {
-			rec.Session.Close()
-			return nil, fmt.Errorf("re-advancing to %g: %w", logged.MaxAdvance, err)
-		} else if !ok {
-			break
-		}
-	}
-	if err := rec.Session.Sync(); err != nil {
-		rec.Session.Close()
-		return nil, err
-	}
-	ops, err := persist.ReopenOpLog(s.fs, filepath.Join(dir, opsFile), logged.ValidSize, persist.SyncManual)
-	if err != nil {
-		rec.Session.Close()
-		return nil, err
-	}
-	t := newTenant(cfg, dir, s.limits, s.m)
-	t.start(rec.Session, ops, logged.Watermark)
 	return t, nil
 }
 

@@ -1,15 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dvbp/internal/core"
-	"dvbp/internal/item"
 	"dvbp/internal/metrics"
 	"dvbp/internal/persist"
 	"dvbp/internal/vector"
@@ -43,8 +41,6 @@ type Limits struct {
 	// Deadline is the per-request time budget measured from enqueue; a
 	// request still queued past it answers 503. 0 means no deadline.
 	Deadline time.Duration
-	// SyncEvery batches persist-layer fsyncs between the explicit barriers.
-	SyncEvery int
 	// RetryAttempts is how many times a transient I/O failure (EIO) is
 	// retried at a commit barrier before the tenant degrades; disk-full
 	// errors skip the retries (waiting microseconds for space is pointless).
@@ -65,9 +61,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.BatchMax <= 0 {
 		l.BatchMax = 64
-	}
-	if l.SyncEvery <= 0 {
-		l.SyncEvery = 64
 	}
 	if l.RetryAttempts == 0 {
 		l.RetryAttempts = 3
@@ -187,14 +180,6 @@ type TenantStatus struct {
 	// Stranded; DESIGN.md §13). StrandedCapacity is its dimension sum.
 	StrandedPerDim   []float64 `json:"stranded_per_dim"`
 	StrandedCapacity float64   `json:"stranded_capacity"`
-	// StrandedBins is the legacy dominant-dimension heuristic
-	// OpenBins − max_d OpenLoad[d].
-	//
-	// Deprecated: it undercounts mixed-imbalance fleets — a bin free in
-	// dimension 0 next to a bin free in dimension 1 strands capacity in
-	// both, but the fleet-level max sees neither. Kept for JSON
-	// compatibility; read StrandedPerDim / StrandedCapacity instead.
-	StrandedBins float64 `json:"stranded_bins"`
 }
 
 // PlacementRecord is one acknowledged placement in a placements listing.
@@ -212,15 +197,12 @@ type PlacementsResult struct {
 	Placements []PlacementRecord `json:"placements"`
 }
 
-// Tenant is one independent run behind the server: a dynamic engine, its
-// persistence session, its op log, and the single worker goroutine that owns
-// all three. Everything mutable belongs to the worker; the front end only
-// enqueues.
+// Tenant is one independent run behind the server: a persist.DynamicRun and
+// the single worker goroutine that owns it. The front end only enqueues.
 type Tenant struct {
 	cfg    TenantConfig
 	limits Limits
 	dir    string
-	fs     vfs.FS
 	m      *storeMetrics
 
 	// degradedFlag mirrors the worker-owned degraded state for readers on
@@ -233,11 +215,9 @@ type Tenant struct {
 
 	// Worker-owned state below; untouched outside the worker goroutine
 	// after start().
-	session   *persist.Session
-	ops       *persist.Writer
-	watermark float64
-	failed    *apiError
-	degraded  *apiError // non-nil while the tenant is read-only on a sick disk
+	run      *persist.DynamicRun
+	failed   *apiError
+	degraded *apiError // non-nil while the tenant is read-only on a sick disk
 
 	done chan struct{}
 }
@@ -247,23 +227,20 @@ func newTenant(cfg TenantConfig, dir string, limits Limits, m *storeMetrics) *Te
 		cfg:    cfg,
 		limits: limits,
 		dir:    dir,
-		fs:     vfs.OrOS(limits.FS),
 		m:      m,
 		ch:     make(chan *request, limits.QueueDepth),
 		done:   make(chan struct{}),
 	}
 }
 
+// start launches the worker goroutine over an opened run.
+func (t *Tenant) start(run *persist.DynamicRun) {
+	t.run = run
+	go t.work()
+}
+
 // Config returns the tenant's manifest identity.
 func (t *Tenant) Config() TenantConfig { return t.cfg }
-
-// start launches the worker goroutine over an opened session + op log.
-func (t *Tenant) start(session *persist.Session, ops *persist.Writer, watermark float64) {
-	t.session = session
-	t.ops = ops
-	t.watermark = watermark
-	go t.run()
-}
 
 // enqueue hands one request to the worker, answering errBusy when the
 // bounded queue is full and errDraining when the tenant is shutting down.
@@ -301,9 +278,9 @@ func (t *Tenant) close() {
 	<-t.done
 }
 
-// run is the worker loop: drain up to BatchMax queued requests, process them
+// work is the worker loop: drain up to BatchMax queued requests, process them
 // as one group commit, repeat until intake closes, then release everything.
-func (t *Tenant) run() {
+func (t *Tenant) work() {
 	defer close(t.done)
 	for req := range t.ch {
 		batch := []*request{req}
@@ -323,101 +300,68 @@ func (t *Tenant) run() {
 		t.m.batchSize.Observe(float64(len(batch)))
 		t.process(batch)
 	}
-	// Intake closed: the range loop above already drained everything, so
-	// only the files remain. Close syncs the WAL; the op log syncs on Close
-	// too, so nothing acknowledged — or even admitted — is lost.
-	if t.session != nil {
-		t.session.Close()
-	}
-	if t.ops != nil {
-		t.ops.Close()
-	}
+	// Intake closed and the queue drained: Close syncs both logs, so nothing
+	// acknowledged — or even admitted — is lost.
+	t.run.Close()
 }
 
-// process runs one batch as a group commit, honouring the two-barrier
-// durability order: validate and append every mutation's op, fsync the op
-// log, apply the mutations to the engine (appending WAL records), fsync the
-// WAL, then acknowledge. Transient barrier failures retry with capped
-// backoff; a disk that stays sick degrades the tenant to read-only (503 for
-// mutations, queries still served) instead of poisoning it — the worker
-// probes the disk at every batch and resumes when writes go through again.
+// process runs one batch as a group commit in the run's two-barrier order:
+// admit, fsync the op log, apply, fsync the WAL, acknowledge. Transient
+// barrier failures retry with capped backoff; a disk that stays sick
+// degrades the tenant to read-only (503 for mutations, queries still served)
+// instead of poisoning it, and every later batch probes it to resume.
 func (t *Tenant) process(batch []*request) {
 	if t.degraded != nil {
 		t.probe()
 	}
 	now := time.Now()
-	type staged struct {
-		req  *request
-		resp response
-	}
-	out := make([]staged, 0, len(batch))
-	var mutations []int // indices in out, in batch order
-	wm0 := t.watermark  // admission rolls back here if barrier 1 fails
+	resps := make([]response, len(batch))
+	var mutations []int // indices in batch of the admitted mutations
 
 	// Phase 1: admission. Validate each mutation against the running
 	// watermark and append its op-log record (buffered, not yet synced).
-	for _, req := range batch {
-		if t.failed != nil {
-			out = append(out, staged{req, response{err: t.failed}})
-			continue
-		}
-		if !req.deadline.IsZero() && now.After(req.deadline) {
+	for i, req := range batch {
+		switch {
+		case t.failed != nil:
+			resps[i].err = t.failed
+		case !req.deadline.IsZero() && now.After(req.deadline):
 			t.m.deadlines.Inc()
-			out = append(out, staged{req, response{err: errDeadline}})
-			continue
-		}
-		switch req.kind {
-		case reqPlace, reqAdvance:
-			if t.degraded != nil {
-				out = append(out, staged{req, response{err: t.degraded}})
-				continue
-			}
-			var aerr *apiError
-			if req.kind == reqPlace {
-				if !req.arrivalSet {
-					req.arrival = t.watermark
-				}
-				aerr = t.admitPlace(req)
-			} else {
-				aerr = t.admitAdvance(req)
-			}
-			if aerr != nil {
-				out = append(out, staged{req, response{err: aerr}})
-				continue
-			}
-			mutations = append(mutations, len(out))
-			out = append(out, staged{req, response{}})
+			resps[i].err = errDeadline
+		case req.kind != reqPlace && req.kind != reqAdvance:
+		case t.degraded != nil:
+			resps[i].err = t.degraded
 		default:
-			out = append(out, staged{req, response{}})
+			if resps[i].err = t.admit(req); resps[i].err == nil {
+				mutations = append(mutations, i)
+			}
 		}
 	}
 
 	// refuse answers every still-pending mutation with the tenant's current
 	// terminal error (failed beats degraded).
 	refuse := func() {
+		terminal := t.failed
+		if terminal == nil {
+			terminal = t.degraded
+		}
 		for _, i := range mutations {
-			if out[i].resp.err == nil {
-				if t.failed != nil {
-					out[i].resp.err = t.failed
-				} else {
-					out[i].resp.err = t.degraded
-				}
+			if resps[i].err == nil {
+				resps[i].err = terminal
 			}
 		}
 		mutations = nil
 	}
 
 	// Phase 2: first barrier — ops durable before the engine may step. On a
-	// recoverable failure the whole batch rolls back (the op-log writer is
-	// manual-sync, so nothing leaked) and the tenant degrades; only
-	// corruption, or a rollback that itself fails, poisons it.
+	// recoverable failure the whole batch rolls back, watermark included, and
+	// the tenant degrades; only corruption, or a rollback that itself fails,
+	// poisons it.
 	if len(mutations) > 0 && t.failed == nil {
-		if err := t.retryIO(t.ops.Sync); err != nil {
+		if err := t.retryIO(t.run.SyncOps); err != nil {
 			if persist.Recoverable(err) {
-				if rberr := t.ops.Rollback(); rberr != nil {
+				if rberr := t.run.RollbackOps(); rberr != nil {
 					t.fail("op log rollback after failed sync: %v", rberr)
 				} else {
-					t.watermark = wm0
 					t.degrade(err)
 				}
 			} else {
@@ -430,51 +374,54 @@ func (t *Tenant) process(batch []*request) {
 	// Phase 3: apply, in batch order. Queries run here too — degraded mode
 	// keeps serving them — and each sees exactly the batch mutations that
 	// preceded it.
-	for i := range out {
-		s := &out[i]
-		if s.resp.err != nil {
+	logged := t.run.Logged()
+	for i, req := range batch {
+		r := &resps[i]
+		if r.err == nil && t.failed != nil {
+			r.err = t.failed
+		}
+		if r.err != nil {
 			continue
+		}
+		switch req.kind {
+		case reqPlace:
+			r.place = t.applyPlace(req)
+		case reqAdvance:
+			r.advance = t.applyAdvance(req)
+		case reqStats:
+			r.stats = t.status()
+		case reqPlacements:
+			r.placements = t.listPlacements(req.from)
 		}
 		if t.failed != nil {
-			s.resp.err = t.failed
-			continue
-		}
-		switch s.req.kind {
-		case reqPlace:
-			s.resp.place = t.applyPlace(s.req)
-		case reqAdvance:
-			s.resp.advance = t.applyAdvance(s.req)
-		case reqStats:
-			s.resp.stats = t.status()
-		case reqPlacements:
-			s.resp.placements = t.listPlacements(s.req.from)
-		}
-		if t.failed != nil && s.resp.err == nil {
-			s.resp.err = t.failed
+			r.err = t.failed
 		}
 	}
+	t.m.events.Add(uint64(t.run.Logged() - logged))
 
 	// Phase 4: second barrier — the WAL durable before anyone is told. The
 	// engine already stepped these events, so on a recoverable failure they
 	// stay applied (item IDs are positional; un-stepping would skew them
-	// against the durable op log) but unacknowledged: the records sit in the
-	// writer's buffer, the probe re-syncs them, and recovery after a crash
-	// regenerates them from the op log. The clients got 503, not an ack, so
-	// nothing acknowledged can be lost either way.
+	// against the durable op log) but unacknowledged: the probe re-syncs
+	// them, and recovery after a crash regenerates them from the op log. A
+	// tenant poisoned while applying skips the barrier and acknowledges none
+	// of the batch.
 	if len(mutations) > 0 && t.failed == nil {
-		if err := t.retryIO(t.session.Sync); err != nil {
+		if err := t.retryIO(t.run.SyncWAL); err != nil {
 			if persist.Recoverable(err) {
 				t.degrade(err)
 			} else {
 				t.fail("wal sync: %v", err)
 			}
-			refuse()
 		}
+	}
+	if len(mutations) > 0 && (t.failed != nil || t.degraded != nil) {
+		refuse()
 	}
 
 	// Phase 5: acknowledge.
-	for _, s := range out {
-		s.req.reply <- s.resp
+	for i, req := range batch {
+		req.reply <- resps[i]
 	}
 
 	t.harvest()
@@ -511,73 +458,30 @@ func (t *Tenant) degrade(cause error) {
 	t.m.degraded.Add(1)
 }
 
-// resume lifts degraded mode after a successful probe.
-func (t *Tenant) resume() {
-	if t.degraded == nil {
-		return
-	}
-	t.degraded = nil
-	t.degradedFlag.Store(false)
-	t.m.degraded.Add(-1)
-}
-
-// probe re-runs both durability barriers against whatever is buffered (after
-// a barrier-2 failure that includes the unacknowledged WAL suffix). Both
-// clean means the disk recovered; a recoverable failure keeps degraded mode;
-// corruption or fatal errors poison.
+// probe re-runs both durability barriers over whatever is buffered: success
+// lifts degraded mode, a recoverable failure keeps it, anything else poisons.
 func (t *Tenant) probe() {
-	if err := t.ops.Sync(); err != nil {
-		if !persist.Recoverable(err) {
-			t.fail("op log sync: %v", err)
-		}
-		return
+	err := t.run.Probe()
+	switch {
+	case err == nil:
+		t.degraded = nil
+		t.degradedFlag.Store(false)
+		t.m.degraded.Add(-1)
+	case !persist.Recoverable(err):
+		t.fail("probe: %v", err)
 	}
-	if err := t.session.Sync(); err != nil {
-		if !persist.Recoverable(err) {
-			t.fail("wal sync: %v", err)
-		}
-		return
-	}
-	t.resume()
 }
 
-// harvest drains the session's I/O counters into the server metrics after a
-// batch, and piggybacks op-log compaction on a just-finished WAL compaction:
-// the session compacts its own WAL and snapshots, but only the tenant knows
-// the op log, so the two shrink in tandem here.
+// harvest drains the run's I/O counters into the server metrics after a
+// batch; the run compacts its op log behind a WAL compaction as it does.
 func (t *Tenant) harvest() {
-	st := t.session.TakeIOStats()
-	if n := st.SyncFailures + st.CheckpointsSkipped; n > 0 {
-		t.m.ioRetries.Add(uint64(n))
-	}
-	if st.Compactions > 0 {
-		t.m.compactions.Add(uint64(st.Compactions))
-		t.m.reclaimed.Add(uint64(st.ReclaimedBytes))
-		if t.failed == nil && t.degraded == nil && !t.ops.Buffered() {
-			t.compactOps()
-		}
-	}
-}
-
-// compactOps rewrites the op log with its advance spam collapsed, swapping
-// the worker's writer for one on the rewritten file. Recoverable failures
-// skip (the next compaction window retries); only corruption or a lost
-// handle poisons.
-func (t *Tenant) compactOps() {
-	w, reclaimed, err := persist.CompactOpLog(t.fs, filepath.Join(t.dir, opsFile), t.cfg.Name, persist.SyncManual)
+	st, err := t.run.TakeIOStats()
+	t.m.ioRetries.Add(uint64(st.SyncFailures + st.CheckpointsSkipped))
+	t.m.compactions.Add(uint64(st.Compactions + st.OpLogCompactions))
+	t.m.reclaimed.Add(uint64(st.ReclaimedBytes))
 	if err != nil {
-		if !persist.Recoverable(err) {
-			t.fail("op log compaction: %v", err)
-		}
-		return
+		t.fail("op log compaction: %v", err)
 	}
-	if w == nil {
-		return
-	}
-	t.ops.Discard()
-	t.ops = w
-	t.m.compactions.Inc()
-	t.m.reclaimed.Add(uint64(reclaimed))
 }
 
 // fail poisons the tenant: a persistence write failed, so no further
@@ -590,103 +494,70 @@ func (t *Tenant) fail(format string, args ...any) {
 	}
 }
 
-// admitPlace validates a place request against the watermark and logs it.
-func (t *Tenant) admitPlace(req *request) *apiError {
-	if req.durationSet {
-		req.departure = req.arrival + req.duration
+// admit validates a place or advance request and logs it.
+func (t *Tenant) admit(req *request) *apiError {
+	wm := t.run.Watermark()
+	var err error
+	if req.kind == reqPlace {
+		if !req.arrivalSet {
+			req.arrival = wm
+		}
+		if req.durationSet {
+			req.departure = req.arrival + req.duration
+		}
+		err = t.run.AdmitItem(req.arrival, req.departure, req.size)
+	} else {
+		err = t.run.AdmitAdvance(req.to)
 	}
-	if req.arrival < t.watermark {
-		return errf(http.StatusConflict, "stale_arrival",
-			"arrival %g is behind tenant %q watermark %g", req.arrival, t.cfg.Name, t.watermark)
-	}
-	probe := item.Item{Arrival: req.arrival, Departure: req.departure, Size: req.size}
-	if err := probe.Validate(t.cfg.Dim); err != nil {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, persist.ErrInvalidItem):
 		return errf(http.StatusBadRequest, "invalid_item", "%v", err)
-	}
-	if err := t.ops.Append(persist.AppendItemOp(nil, req.arrival, req.departure, req.size)); err != nil {
+	case !errors.Is(err, persist.ErrStale):
 		t.fail("op log append: %v", err)
 		return t.failed
+	case req.kind == reqPlace:
+		return errf(http.StatusConflict, "stale_arrival",
+			"arrival %g is behind tenant %q watermark %g", req.arrival, t.cfg.Name, wm)
 	}
-	t.watermark = req.arrival
-	return nil
+	return errf(http.StatusConflict, "stale_advance",
+		"advance to %g is behind tenant %q watermark %g", req.to, t.cfg.Name, wm)
 }
 
-// admitAdvance validates an advance request against the watermark and logs it.
-func (t *Tenant) admitAdvance(req *request) *apiError {
-	if req.to < t.watermark {
-		return errf(http.StatusConflict, "stale_advance",
-			"advance to %g is behind tenant %q watermark %g", req.to, t.cfg.Name, t.watermark)
-	}
-	if err := t.ops.Append(persist.AppendAdvanceOp(nil, req.to)); err != nil {
-		t.fail("op log append: %v", err)
-		return t.failed
-	}
-	t.watermark = req.to
-	return nil
-}
-
-// applyPlace admits the item into the engine and steps the session until the
-// item's arrival event commits, returning the placement.
+// applyPlace commits an admitted item's arrival, returning the placement.
 func (t *Tenant) applyPlace(req *request) *PlaceResult {
-	e := t.session.Engine()
-	id, err := e.AppendArrival(req.arrival, req.departure, req.size)
+	rec, err := t.run.Place(req.arrival, req.departure, req.size)
 	if err != nil {
-		// Cannot happen after admitPlace's checks; treat as fatal skew.
-		t.fail("engine rejected an admitted item: %v", err)
+		t.fail("place: %v", err)
 		return nil
 	}
-	for {
-		rec, ok, err := t.session.Step()
-		if err != nil {
-			t.fail("step: %v", err)
-			return nil
-		}
-		if !ok {
-			t.fail("stream drained before arrival of item %d committed", id)
-			return nil
-		}
-		t.m.events.Inc()
-		if rec.Class == core.EventArrival && rec.ItemID == id {
-			t.m.items.Inc()
-			return &PlaceResult{Tenant: t.cfg.Name, Item: id, Bin: rec.BinID, Opened: rec.Opened, Time: rec.Time}
-		}
-	}
+	t.m.items.Inc()
+	return &PlaceResult{Tenant: t.cfg.Name, Item: rec.ItemID, Bin: rec.BinID, Opened: rec.Opened, Time: rec.Time}
 }
 
-// applyAdvance steps the session through every event due at or before the
-// target time.
+// applyAdvance commits every event due at or before the target time.
 func (t *Tenant) applyAdvance(req *request) *AdvanceResult {
-	e := t.session.Engine()
-	n := 0
-	for {
-		tt, ok := e.PeekTime()
-		if !ok || tt > req.to {
-			break
-		}
-		if _, ok, err := t.session.Step(); err != nil {
-			t.fail("step: %v", err)
-			return nil
-		} else if !ok {
-			break
-		}
-		t.m.events.Inc()
-		n++
+	n, err := t.run.Advance(req.to)
+	if err != nil {
+		t.fail("advance: %v", err)
+		return nil
 	}
-	return &AdvanceResult{Tenant: t.cfg.Name, To: req.to, Events: n, Served: e.Stats().Served}
+	return &AdvanceResult{Tenant: t.cfg.Name, To: req.to, Events: n, Served: t.run.Engine().Stats().Served}
 }
 
 // status builds the stats view (worker goroutine only). The fragmentation
-// fields — stranded_per_dim, stranded_capacity and the deprecated
-// stranded_bins — are all derived from one metrics.FragOf recompute over the
-// engine's open bins, so the three can never drift apart (or away from the
-// fragmentation tracker's definition) under bin close/crash churn.
+// fields — open_load, stranded_per_dim and stranded_capacity — are all
+// derived from one metrics.FragOf recompute over the engine's open bins, so
+// they can never drift apart (or away from the fragmentation tracker's
+// definition) under bin close/crash churn.
 func (t *Tenant) status() *TenantStatus {
-	e := t.session.Engine()
+	e := t.run.Engine()
 	st := e.Stats()
 	fs := metrics.FragOf(t.cfg.Dim, e.AppendOpenBins(nil))
 	out := &TenantStatus{
 		TenantConfig: t.cfg,
-		Watermark:    t.watermark,
+		Watermark:    t.run.Watermark(),
 		Degraded:     t.degraded != nil,
 		EventSeq:     st.EventSeq,
 		Clock:        st.Clock,
@@ -695,27 +566,20 @@ func (t *Tenant) status() *TenantStatus {
 		Placements:   st.Placements,
 		OpenBins:     fs.OpenBins,
 		BinsOpened:   st.BinsOpened,
-		Cost:         st.CostAt(t.watermark),
+		Cost:         st.CostAt(t.run.Watermark()),
 		OpenLoad:     fs.Load,
 	}
 	out.StrandedPerDim = fs.Stranded
 	for _, v := range fs.Stranded {
 		out.StrandedCapacity += v
 	}
-	maxLoad := 0.0
-	for _, v := range fs.Load {
-		if v > maxLoad {
-			maxLoad = v
-		}
-	}
-	out.StrandedBins = float64(fs.OpenBins) - maxLoad
 	return out
 }
 
 // listPlacements copies the committed placements from index from on
 // (worker goroutine only).
 func (t *Tenant) listPlacements(from int) *PlacementsResult {
-	snap, err := t.session.Engine().Snapshot()
+	snap, err := t.run.Engine().Snapshot()
 	if err != nil {
 		t.fail("snapshot: %v", err)
 		return nil
