@@ -23,12 +23,13 @@ import (
 // acknowledged placement.
 func TestServeLoadSurvivesSickDisk(t *testing.T) {
 	// One-shot faults well past the store-open and tenant-create window, so
-	// they land under load: every place costs two fsync barriers, and
-	// 2 tenants x 40 items supply hundreds.
+	// they land under load: every place costs one op-log fsync, and
+	// 2 tenants x 40 items supply about a hundred (WAL fsyncs add a few at
+	// each checkpoint).
 	inj := vfs.NewInjector(vfs.OS{},
 		vfs.Fault{Kind: vfs.FaultSync, Nth: 60, Err: syscall.ENOSPC},
+		vfs.Fault{Kind: vfs.FaultSync, Nth: 75, Err: syscall.ENOSPC},
 		vfs.Fault{Kind: vfs.FaultSync, Nth: 90, Err: syscall.EIO},
-		vfs.Fault{Kind: vfs.FaultSync, Nth: 130, Err: syscall.ENOSPC},
 	)
 	reg := metrics.NewRegistry()
 	store, err := server.OpenStore(t.TempDir(), server.Limits{

@@ -15,9 +15,10 @@
 //	GET  /healthz, /readyz, /metrics    liveness, readiness, Prometheus/JSON
 //
 // Every acknowledged placement survives SIGKILL: the op log is fsynced before
-// the engine steps and the WAL before the client hears back. On restart the
-// store replays every manifest tenant and /readyz turns 200 only once all of
-// them are byte-identically recovered.
+// the engine steps, and recovery regenerates from it any placement the
+// trailing WAL had not yet synced. On restart the store replays every
+// manifest tenant and /readyz turns 200 only once all of them are
+// byte-identically recovered.
 //
 // SIGTERM and SIGINT drain gracefully: /readyz flips to 503, mutating
 // endpoints refuse with a Retry-After, queued batches finish and fsync, then

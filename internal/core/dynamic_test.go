@@ -105,7 +105,7 @@ func TestDynamicSnapshotRestoreMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := live.EventSeq()
+	seq, clock := live.EventSeq(), live.Stats().Clock
 
 	// Continue the live run to completion.
 	feedDynamic(t, live, stream[120:])
@@ -134,8 +134,8 @@ func TestDynamicSnapshotRestoreMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.EventSeq() != seq {
-		t.Fatalf("restored at event %d, want %d", re.EventSeq(), seq)
+	if re.EventSeq() != seq || re.Stats().Clock != clock {
+		t.Fatalf("restored at event %d, clock %g; want %d, %g", re.EventSeq(), re.Stats().Clock, seq, clock)
 	}
 	for {
 		_, ok, err := re.Step()

@@ -304,9 +304,8 @@ type Engine struct {
 	evictIDs []int // scratch reused across crashes
 
 	// lastTime is the time of the most recent committed event — the floor
-	// below which a dynamic run must not admit new arrivals (AppendArrival).
-	// It is not snapshotted: replay re-establishes it event by event, and the
-	// dynamic caller owns the authoritative admission watermark (DESIGN.md
+	// below which a dynamic run must not admit new arrivals (AppendArrival);
+	// the dynamic caller owns the authoritative admission watermark (DESIGN.md
 	// §12).
 	lastTime float64
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 
 	"dvbp/internal/item"
@@ -20,8 +21,10 @@ import (
 // stores the identifying metadata (workload hash, policy name, fault plan)
 // alongside and refuses mismatched restores.
 type Snapshot struct {
-	// EventSeq is the number of events committed before the capture.
+	// EventSeq is the number of events committed before the capture;
+	// LastTime is the time of the most recent one (0 before the first).
 	EventSeq int64
+	LastTime float64
 	// ArrivalIdx is the index of the next unconsumed arrival in the
 	// (arrival, SeqNo)-sorted item order.
 	ArrivalIdx int
@@ -180,6 +183,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 
 	s := &Snapshot{
 		EventSeq:    e.eventSeq,
+		LastTime:    e.lastTime,
 		ArrivalIdx:  e.ai,
 		NextBinID:   e.nextBinID,
 		Served:      e.served,
@@ -305,8 +309,12 @@ func RestoreEngine(l *item.List, p Policy, s *Snapshot, opts ...Option) (*Engine
 	if s.EventSeq < 0 || s.NextBinID < 0 || s.Served < 0 || s.RetrySeq < 0 {
 		return nil, corruptf("negative progress counter")
 	}
+	if math.IsNaN(s.LastTime) || math.IsInf(s.LastTime, 0) {
+		return nil, corruptf("last event time %g is not finite", s.LastTime)
+	}
 	e.ai = s.ArrivalIdx
 	e.eventSeq = s.EventSeq
+	e.lastTime = s.LastTime
 	e.nextBinID = s.NextBinID
 	e.served = s.Served
 	e.retrySeq = s.RetrySeq

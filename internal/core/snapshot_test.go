@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -240,6 +241,7 @@ func TestRestoreRejectsInconsistentSnapshots(t *testing.T) {
 		{"nil-result", func(s *Snapshot) { s.Result = nil }, "missing partial result"},
 		{"arrival-overflow", func(s *Snapshot) { s.ArrivalIdx = s.Items + 1 }, "arrival index"},
 		{"negative-counter", func(s *Snapshot) { s.EventSeq = -1 }, "negative progress counter"},
+		{"nan-last-time", func(s *Snapshot) { s.LastTime = math.NaN() }, "not finite"},
 		{"bins-out-of-order", func(s *Snapshot) {
 			if len(s.Bins) < 2 {
 				s.Bins = append(s.Bins, s.Bins[0])

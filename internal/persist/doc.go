@@ -40,8 +40,12 @@
 //     snapshots every N events, rotate files.
 //   - recover.go: Recover — the consumer side described above.
 //   - oplog.go, dynamic.go: a dynamic run's op log, and DynamicRun, the one
-//     owner of its op-log + WAL two-barrier protocol (DESIGN.md §12) that
-//     server tenants run and the dynamic crash-point sweep drives.
+//     owner of its write path (DESIGN.md §12) that server tenants run and the
+//     dynamic crash-point sweep drives: one op-log fsync per group commit,
+//     with the WAL trailing it as a verified cache. OpenDynamic replays the
+//     WAL's durable prefix and regenerates every later event from the op
+//     log, so an acknowledged placement rests on the op log and the engine's
+//     determinism; testdata/golden pins the latter across versions.
 //
 // The kill-and-recover torture tests (torture_test.go and cmd/dvbpchaos)
 // exercise the full matrix: process kills at arbitrary event indices, WAL

@@ -12,18 +12,19 @@ import (
 )
 
 // DynamicRun owns the durable write path of one dynamic-arrival run (a
-// server tenant): its op log and WAL session, kept in step by the
-// two-barrier protocol of DESIGN.md §12. One group commit is
+// server tenant): its op log and WAL session, under the one-barrier protocol
+// of DESIGN.md §12. One group commit is
 //
 //	AdmitItem / AdmitAdvance   ops buffered, the watermark moves
-//	SyncOps                    barrier 1 (RollbackOps if it fails for good)
-//	Place / Advance            the engine steps, in admission order
-//	SyncWAL                    barrier 2; acknowledge after it
-//	TakeIOStats                counters; op-log compaction behind the WAL's
+//	SyncOps                    the barrier (RollbackOps if it fails for good)
+//	Place / Advance            the engine steps, in admission order; acknowledge
+//	TakeIOStats                counters; op-log compaction after the WAL's
 //
-// Both writers sync only at the barriers, at checkpoints and on Close, never
-// automatically (Config.SyncEvery is ignored). A DynamicRun is
-// single-goroutine.
+// The op log syncs only at the barrier and on Close, so a failed barrier can
+// roll a whole batch back. The WAL syncs like any session's (Config.SyncEvery,
+// checkpoints, Close) and may trail the op log: the engine is deterministic,
+// so OpenDynamic regenerates the events it lost from the durable ops. A
+// DynamicRun is single-goroutine.
 type DynamicRun struct {
 	ops       *Writer
 	session   *Session
@@ -40,7 +41,6 @@ var (
 // CreateDynamic starts a fresh dynamic run in cfg.Dir, replacing any earlier
 // one: the op log with its meta record durable, then a new WAL session.
 func CreateDynamic(meta RunMeta, cfg Config) (*DynamicRun, error) {
-	cfg.SyncEvery = SyncManual
 	if err := vfs.OrOS(cfg.FS).MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, ioErr("mkdir", cfg.Dir, err)
 	}
@@ -68,11 +68,13 @@ func CreateDynamic(meta RunMeta, cfg Config) (*DynamicRun, error) {
 
 // OpenDynamic recovers the dynamic run in cfg.Dir: the item list and
 // watermark from the op log (whose identity must equal meta), the engine
-// from Recover, then the clock re-run to the last logged advance, whose
-// events may not have been durable. The report lists every tolerated
-// corruption, the op log's torn tail first; its Session is nil.
+// from Recover, which verifies the durable WAL prefix, then the clock re-run
+// to the watermark. That regenerates every event the WAL lost and leaves the
+// engine where the live run stood after its last logged op: arrivals commit
+// last among events at equal times, so advancing to the watermark commits
+// exactly through the last logged arrival or advance. The report lists every
+// tolerated corruption, the op log's torn tail first; its Session is nil.
 func OpenDynamic(meta RunMeta, cfg Config) (*DynamicRun, *Recovery, error) {
-	cfg.SyncEvery = SyncManual
 	path := filepath.Join(cfg.Dir, opsFile)
 	logged, err := readOpLog(cfg.FS, path, cfg.Label)
 	if err != nil {
@@ -90,9 +92,9 @@ func OpenDynamic(meta RunMeta, cfg Config) (*DynamicRun, *Recovery, error) {
 	}
 	r := &DynamicRun{session: rec.Session, watermark: logged.Watermark, synced: logged.Watermark}
 	rec.Session = nil
-	if _, err = r.Advance(logged.MaxAdvance); err != nil {
-		err = fmt.Errorf("persist: run %q: re-advancing to %g: %w", cfg.Label, logged.MaxAdvance, err)
-	} else if err = r.session.Sync(); err == nil {
+	if _, err = r.Advance(logged.Watermark); err != nil {
+		err = fmt.Errorf("persist: run %q: re-advancing to %g: %w", cfg.Label, logged.Watermark, err)
+	} else {
 		r.ops, err = openAppend(cfg.FS, path, logged.ValidSize, SyncManual)
 	}
 	if err != nil {
@@ -141,9 +143,11 @@ func (r *DynamicRun) admit(op []byte, watermark float64) error {
 	return nil
 }
 
-// SyncOps is barrier 1: the admitted ops durable before the engine steps on
-// them, so the WAL never references an item the op log could lose. A failure
-// leaves them buffered for a retry.
+// SyncOps is the group commit's one barrier: the admitted ops durable before
+// the engine steps on them, so every event the engine then commits can be
+// regenerated and the WAL never references an item the op log could lose. It
+// always reaches the device, even with nothing buffered, so a degraded tenant
+// probes the disk with it. A failure leaves the ops buffered for a retry.
 func (r *DynamicRun) SyncOps() error {
 	if err := r.ops.Sync(); err != nil {
 		return err
@@ -196,26 +200,13 @@ func (r *DynamicRun) Advance(to float64) (int, error) {
 	}
 }
 
-// SyncWAL is barrier 2: the committed events durable before any client hears
-// of them. A failure leaves them buffered for a retry.
-func (r *DynamicRun) SyncWAL() error { return r.session.Sync() }
-
-// Probe re-runs both barriers with real fsyncs over whatever is buffered:
-// nil means the disk takes writes again.
-func (r *DynamicRun) Probe() error {
-	if err := r.SyncOps(); err != nil {
-		return err
-	}
-	return r.SyncWAL()
-}
-
 // TakeIOStats returns and resets the session's I/O counters, first compacting
-// the op log in tandem if the WAL was compacted since the last call and both
-// logs are synced. A recoverable failure waits for the next WAL compaction;
-// an error return is corruption or fatal.
+// the op log if the WAL was compacted since the last call and the op log is
+// synced. A recoverable failure waits for the next WAL compaction; an error
+// return is corruption or fatal.
 func (r *DynamicRun) TakeIOStats() (IOStats, error) {
 	st := r.session.TakeIOStats()
-	if st.Compactions == 0 || r.ops.Buffered() || r.session.wal.Buffered() {
+	if st.Compactions == 0 || r.ops.Buffered() {
 		return st, nil
 	}
 	cfg := r.session.cfg

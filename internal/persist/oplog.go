@@ -103,8 +103,9 @@ type opLogData struct {
 	List *item.List // the items in log order: the list the WAL replays against
 	Ops  []opRecord // the full decoded operation stream
 	// Watermark is the run's admission floor, the largest arrival or advance
-	// target; MaxAdvance is the largest advance target (0 when none), which
-	// recovery re-runs the clock to so acknowledged departures stay committed.
+	// target, which recovery re-runs the clock to so every acknowledged event
+	// is committed again; MaxAdvance is the largest advance target (0 when
+	// none).
 	Watermark, MaxAdvance float64
 	// ValidSize is the byte prefix covered by intact records; Torn describes
 	// the discarded tail, nil when the file is clean.

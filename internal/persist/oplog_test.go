@@ -301,8 +301,8 @@ func TestRecoverLabelsCorruptionWithRun(t *testing.T) {
 
 // commitItem runs one single-request group commit through r, in the order a
 // server tenant runs it: admit the item (and, with advance, a clock advance
-// to its arrival), barrier 1, apply, barrier 2, then TakeIOStats, whose
-// counters are added to st. Admission itself never touches the disk, so a
+// to its arrival), the barrier, apply, then TakeIOStats, whose counters are
+// added to st. Admission itself never touches the disk, so a
 // refusal fails the test.
 func commitItem(t *testing.T, r *DynamicRun, it item.Item, advance bool, st *IOStats) error {
 	t.Helper()
@@ -323,9 +323,6 @@ func commitItem(t *testing.T, r *DynamicRun, it item.Item, advance bool, st *IOS
 		if _, err := r.Advance(it.Arrival); err != nil {
 			return err
 		}
-	}
-	if err := r.SyncWAL(); err != nil {
-		return err
 	}
 	got, err := r.TakeIOStats()
 	st.Compactions += got.Compactions

@@ -48,8 +48,7 @@ type Config struct {
 	// automatic checkpoints (the WAL alone still recovers via full replay).
 	Every int64
 	// SyncEvery batches WAL fsyncs (default 64 records; SyncManual disables
-	// auto-sync so only explicit barriers reach the device). Dynamic runs
-	// ignore it: a DynamicRun always syncs manually.
+	// auto-sync so only explicit syncs reach the device).
 	SyncEvery int
 	// Aux subsystems checkpointed alongside the engine.
 	Aux []AuxCodec
@@ -64,7 +63,7 @@ type Config struct {
 }
 
 // IOStats counts the I/O weather a session rode through: transient failures
-// it absorbed (to be retried by later barriers), checkpoints it skipped, and
+// it absorbed (to be retried by later syncs), checkpoints it skipped, and
 // the compactions it completed. TakeIOStats drains them; the server exports
 // them as metrics.
 type IOStats struct {
@@ -172,7 +171,7 @@ func (s *Session) TakeIOStats() IOStats {
 //
 // Recoverable I/O errors (transient EIO, a full disk) on the auto-sync,
 // checkpoint, and compaction paths are absorbed and counted in IOStats, not
-// returned: the appended records stay buffered and the next barrier retries
+// returned: the appended records stay buffered and the next sync retries
 // them, a skipped checkpoint just means the next interval tries again. An
 // error from Step is therefore always corruption or fatal.
 func (s *Session) Step() (rec core.EventRecord, ok bool, err error) {
@@ -203,11 +202,10 @@ func (s *Session) Step() (rec core.EventRecord, ok bool, err error) {
 	return rec, true, nil
 }
 
-// Sync forces every appended WAL record down to the device — the group-commit
-// barrier a server runs between stepping a batch and acknowledging it, so no
-// client ever holds an acknowledgement for an event a crash can undo. Unlike
-// Step's automatic paths, Sync reports recoverable errors to the caller: the
-// barrier is exactly where honesty about durability is due.
+// Sync forces every appended WAL record down to the device, so no caller is
+// told an event is durable when a crash can undo it. Unlike Step's automatic
+// paths, Sync reports recoverable errors to the caller: an explicit barrier
+// is exactly where honesty about durability is due.
 func (s *Session) Sync() error {
 	return s.wal.Sync()
 }

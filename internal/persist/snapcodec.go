@@ -18,14 +18,15 @@ import (
 
 // snapCodecVersion versions the snapshot payload independently of the file
 // framing. Version 2 added the migration section and the Result migration
-// counters (DESIGN.md §14).
-const snapCodecVersion = 2
+// counters (DESIGN.md §14); version 3 the time of the last committed event.
+const snapCodecVersion = 3
 
 // EncodeSnapshot serialises an engine snapshot.
 func EncodeSnapshot(s *core.Snapshot) []byte {
 	b := &benc{}
 	b.uvarint(snapCodecVersion)
 	b.varint(s.EventSeq)
+	b.f64(s.LastTime)
 	b.varint(int64(s.ArrivalIdx))
 	b.varint(int64(s.NextBinID))
 	b.varint(int64(s.Served))
@@ -173,6 +174,7 @@ func DecodeSnapshot(payload []byte) (*core.Snapshot, error) {
 	}
 	s := &core.Snapshot{}
 	s.EventSeq = d.varint()
+	s.LastTime = d.f64()
 	s.ArrivalIdx = d.int()
 	s.NextBinID = d.int()
 	s.Served = d.int()

@@ -127,52 +127,123 @@ func TestDiskTortureCrashPointsStatic(t *testing.T) {
 // dynTortureMeta is the dynamic sweep's run identity.
 func dynTortureMeta() RunMeta { return NewDynamicRunMeta(2, "firstfit", 11, "") }
 
-// driveDynamicTorture feeds items through a DynamicRun on fsys — the type
-// the server's tenants run — one single-request group commit per item, with
-// an advance every third item and checkpoints every 8 events, each followed
-// by a WAL compaction and, in tandem, an op-log compaction. fresh=false
-// resumes from whatever the directory durably holds through OpenDynamic and
-// feeds the remaining suffix of items (identified positionally: the
-// recovered item count is the resume cursor). It returns the finished run's
-// result and the compaction counts it saw.
-func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh bool) (*core.Result, IOStats, error) {
+// dynTortureCfg is the dynamic sweep's run shape: checkpoints every 8
+// events, each followed by a WAL compaction and then an op-log compaction.
+func dynTortureCfg(fsys vfs.FS) Config {
+	return Config{Dir: "tenant", Label: "dyn", Every: 8, FS: fsys, Compact: true}
+}
+
+// feedDynamicTorture feeds items through r — the type the server's tenants
+// run — one single-request group commit per item, with an advance every
+// third item. A resumed run continues with the items its op log lacks
+// (identified positionally: the recovered item count is the cursor). It
+// returns the compaction counts it saw; on error r is closed.
+func feedDynamicTorture(t *testing.T, r *DynamicRun, items []item.Item) (IOStats, error) {
 	t.Helper()
-	cfg := Config{Dir: "tenant", Label: "dyn", Every: 8, FS: fsys, Compact: true}
 	var st IOStats
-	var r *DynamicRun
-	var err error
-	if fresh {
-		r, err = CreateDynamic(dynTortureMeta(), cfg)
-	} else {
-		r, _, err = OpenDynamic(dynTortureMeta(), cfg)
-	}
-	if err != nil {
-		return nil, st, err
-	}
 	for i := r.Engine().Stats().Items; i < len(items); i++ {
 		if err := commitItem(t, r, items[i], i%3 == 2, &st); err != nil {
 			r.Close()
-			return nil, st, err
+			return st, err
 		}
 	}
-	res, err := finishDynamic(r)
-	return res, st, err
+	return st, nil
+}
+
+// driveDynamicTorture runs the sweep's workload on fsys to the end: fresh,
+// or resumed from whatever the directory durably holds through OpenDynamic,
+// the recovery the server uses, in which case the opened run is first handed
+// to check. It returns the finished run's result.
+func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh bool, check func(*DynamicRun, *Recovery)) (*core.Result, error) {
+	t.Helper()
+	var r *DynamicRun
+	var err error
+	if fresh {
+		r, err = CreateDynamic(dynTortureMeta(), dynTortureCfg(fsys))
+	} else {
+		var rec *Recovery
+		if r, rec, err = OpenDynamic(dynTortureMeta(), dynTortureCfg(fsys)); err == nil {
+			check(r, rec)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if _, err := feedDynamicTorture(t, r, items); err != nil {
+		return nil, err
+	}
+	return finishDynamic(r)
+}
+
+// checkResumePoint requires a run fresh out of OpenDynamic to stand exactly
+// where an uninterrupted run fed its durable op log stands: the same
+// placements, clock and event count. With finishing set the crash hit while
+// the run was being finished, past its last op, so the durable WAL may lead
+// the op log; the reference then continues to the recovered event count
+// first. It returns how many events recovery regenerated past the durable
+// WAL prefix.
+func checkResumePoint(t *testing.T, r *DynamicRun, rec *Recovery, finishing bool) int64 {
+	t.Helper()
+	cfg := dynTortureCfg(nil)
+	logged, err := readOpLog(r.session.fsys, filepath.Join(cfg.Dir, opsFile), cfg.Label)
+	if err != nil {
+		t.Fatalf("re-reading the recovered op log: %v", err)
+	}
+	ref, err := CreateDynamic(dynTortureMeta(), Config{Dir: "ref", FS: vfs.NewMem()})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	defer ref.Close()
+	commitOps(t, ref, logged.Ops)
+	got := r.Engine().Stats()
+	for finishing && ref.Engine().Stats().EventSeq < got.EventSeq {
+		if _, ok, err := ref.session.Step(); err != nil || !ok {
+			t.Fatalf("reference run ended at event %d before the recovered %d: %v", ref.Engine().Stats().EventSeq, got.EventSeq, err)
+		}
+	}
+	if want := ref.Engine().Stats(); got.EventSeq != want.EventSeq || got.Clock != want.Clock {
+		t.Fatalf("recovered engine at event %d, clock %g; the durable op log leads to event %d, clock %g",
+			got.EventSeq, got.Clock, want.EventSeq, want.Clock)
+	}
+	gotP, wantP := placementsOf(t, r.Engine()), placementsOf(t, ref.Engine())
+	if len(gotP) != len(wantP) {
+		t.Fatalf("recovered %d placements; the durable op log leads to %d", len(gotP), len(wantP))
+	}
+	for i := range wantP {
+		if gotP[i] != wantP[i] {
+			t.Fatalf("recovered placement %d = %+v; the durable op log leads to %+v", i, gotP[i], wantP[i])
+		}
+	}
+	return r.Logged() - (rec.SnapshotSeq + rec.Replayed)
 }
 
 // TestDiskTortureCrashPointsDynamic is the dynamic-run (multi-tenant-shaped)
-// crash-point sweep: the server's two-barrier op-log + WAL protocol, run by
+// crash-point sweep: the server's one-barrier op-log + WAL protocol, run by
 // the production DynamicRun with both compaction paths active, killed at
 // every FS operation in turn and resumed through OpenDynamic, the recovery
-// the server uses. The final packing must come out byte-identical at every
-// crash point — that is the acknowledged-placements contract made
-// exhaustive.
+// the server uses. Right after recovery the engine must stand where its
+// durable op log leads, and the final packing must come out byte-identical
+// at every crash point — that is the acknowledged-placements contract made
+// exhaustive. Some crash points must leave the WAL behind the op log, so the
+// sweep covers recovery regenerating events the WAL lost.
 func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	items := dynItems(45)
 
 	base := vfs.NewMem()
-	res, st, err := driveDynamicTorture(t, items, base, true)
+	r, err := CreateDynamic(dynTortureMeta(), dynTortureCfg(base))
+	if err != nil {
+		t.Fatalf("baseline create: %v", err)
+	}
+	st, err := feedDynamicTorture(t, r, items)
 	if err != nil {
 		t.Fatalf("baseline drive: %v", err)
+	}
+	// Crash points past fed land while finishDynamic steps the engine to the
+	// end of the run, past its last logged op.
+	fed := base.Ops()
+	res, err := finishDynamic(r)
+	if err != nil {
+		t.Fatalf("baseline finish: %v", err)
 	}
 	want := resultJSON(t, res)
 	total := base.Ops()
@@ -183,11 +254,11 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 		t.Fatalf("baseline drive ran %d WAL and %d op-log compactions; the sweep needs both", st.Compactions, st.OpLogCompactions)
 	}
 
-	fallbacks, recovered := 0, 0
+	fallbacks, recovered, regenerating := 0, 0, 0
 	for i := int64(1); i <= total; i++ {
 		m := vfs.NewMem()
 		m.SetCrashPoint(i, vfs.CrashMode(i%3), 3+11*i)
-		_, _, err := driveDynamicTorture(t, items, m, true)
+		_, err := driveDynamicTorture(t, items, m, true, nil)
 		if err == nil {
 			t.Fatalf("crash point %d/%d never fired", i, total)
 		}
@@ -196,7 +267,10 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 		}
 		m.Restart()
 
-		res, _, rerr := driveDynamicTorture(t, items, m, false)
+		var regenerated int64
+		res, rerr := driveDynamicTorture(t, items, m, false, func(r *DynamicRun, rec *Recovery) {
+			regenerated = checkResumePoint(t, r, rec, i > fed)
+		})
 		if rerr != nil {
 			if !tortureCrashOK(rerr) {
 				t.Fatalf("crash point %d/%d (mode %s): resume failed: %v", i, total, vfs.CrashMode(i%3), rerr)
@@ -205,12 +279,15 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 				t.Fatalf("crash point %d: op log holds %d items but recovery found no run: %v", i, logged.List.Len(), rerr)
 			}
 			// Crash predates any durable admission: fresh start is honest.
-			if res, _, rerr = driveDynamicTorture(t, items, m, true); rerr != nil {
+			if res, rerr = driveDynamicTorture(t, items, m, true, nil); rerr != nil {
 				t.Fatalf("crash point %d: fresh restart failed: %v", i, rerr)
 			}
 			fallbacks++
 		} else {
 			recovered++
+			if regenerated > 0 {
+				regenerating++
+			}
 		}
 		if got := resultJSON(t, res); got != want {
 			t.Fatalf("crash point %d/%d (mode %s): result diverged\n got %s\nwant %s",
@@ -220,7 +297,11 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	if recovered == 0 {
 		t.Fatalf("all %d crash points fell back to fresh runs", total)
 	}
-	t.Logf("swept %d crash points: %d recovered, %d legitimate fresh restarts", total, recovered, fallbacks)
+	if regenerating == 0 {
+		t.Fatalf("no crash point left the WAL behind the op log; recovery's regeneration path went unexercised")
+	}
+	t.Logf("swept %d crash points: %d recovered (%d regenerating events the WAL lost), %d legitimate fresh restarts",
+		total, recovered, regenerating, fallbacks)
 }
 
 // TestCompactionBoundsWALSize proves the point of compaction: over many

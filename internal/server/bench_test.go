@@ -12,14 +12,24 @@ import (
 )
 
 // BenchmarkServerPlaceThroughput measures the full request path — HTTP
-// decode, bounded queue, group commit with both fsync barriers, JSON
-// acknowledgement — at 1 and 8 concurrent clients, each driving its own
-// tenant. Alongside ns/op it reports req/sec and client-observed p50/p99
-// latency; bench-json folds all three into BENCH_core.json so the serving
-// path's trajectory is tracked like the engine hot paths.
+// decode, bounded queue, group commit behind the op-log fsync, JSON
+// acknowledgement. In clients=1 and clients=8 each client drives its own
+// tenant, so every group commit holds one request; in sametenant/clients=8
+// the eight clients share one tenant, whose worker batches them. Alongside
+// ns/op it reports req/sec, client-observed p50/p99 latency and the mean
+// group-commit batch size; bench-json folds them into BENCH_core.json so the
+// serving path's trajectory is tracked like the engine hot paths.
 func BenchmarkServerPlaceThroughput(b *testing.B) {
-	for _, conc := range []int{1, 8} {
-		b.Run(fmt.Sprintf("clients=%d", conc), func(b *testing.B) {
+	for _, bc := range []struct {
+		name             string
+		clients, tenants int
+	}{
+		{"clients=1", 1, 1},
+		{"clients=8", 8, 8},
+		{"sametenant/clients=8", 8, 1},
+	} {
+		conc := bc.clients
+		b.Run(bc.name, func(b *testing.B) {
 			reg := metrics.NewRegistry()
 			store, err := OpenStore(b.TempDir(), Limits{QueueDepth: 1024}, reg)
 			if err != nil {
@@ -29,7 +39,7 @@ func BenchmarkServerPlaceThroughput(b *testing.B) {
 			ts := httptest.NewServer(New(store, reg))
 			defer ts.Close()
 
-			for c := 0; c < conc; c++ {
+			for c := 0; c < bc.tenants; c++ {
 				cfg := TenantConfig{Name: fmt.Sprintf("bench%d", c), Dim: 2, Policy: "FirstFit", CheckpointEvery: 4096}
 				if code := call(b, "POST", ts.URL+"/v1/tenants", cfg, nil); code != 201 {
 					b.Fatalf("create tenant: status %d", code)
@@ -44,11 +54,18 @@ func BenchmarkServerPlaceThroughput(b *testing.B) {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
-					base := ts.URL + "/v1/tenants/" + fmt.Sprintf("bench%d", c) + "/place"
+					base := ts.URL + "/v1/tenants/" + fmt.Sprintf("bench%d", c%bc.tenants) + "/place"
 					lat[c] = make([]time.Duration, 0, perClient)
 					for i := 0; i < perClient; i++ {
-						arr := float64(i / 4)
-						body := placeBody{Arrival: f(arr), Departure: f(arr + 3), Size: []float64{0.1, 0.15}}
+						body := placeBody{Size: []float64{0.1, 0.15}}
+						if bc.tenants == conc {
+							arr := float64(i / 4)
+							body.Arrival, body.Departure = f(arr), f(arr+3)
+						} else {
+							// Clients sharing a tenant cannot order explicit
+							// arrivals; each place arrives at the watermark.
+							body.Duration = f(3)
+						}
 						start := time.Now()
 						if code := call(b, "POST", base, body, nil); code != 200 {
 							b.Errorf("place: status %d", code)
@@ -77,6 +94,9 @@ func BenchmarkServerPlaceThroughput(b *testing.B) {
 			b.ReportMetric(float64(len(all))/elapsed.Seconds(), "req/sec")
 			b.ReportMetric(quantile(0.50), "p50-ns")
 			b.ReportMetric(quantile(0.99), "p99-ns")
+			if m, ok := reg.Snapshot().Find("dvbp_server_batch_size"); ok && m.Count > 0 {
+				b.ReportMetric(m.Sum/float64(m.Count), "req/batch")
+			}
 		})
 	}
 }

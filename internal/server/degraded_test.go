@@ -162,9 +162,10 @@ func TestServerDegradedModeSickDisk(t *testing.T) {
 }
 
 // TestServerDegradedRecoversAcrossRestart: a tenant degraded mid-run, with
-// acknowledged-but-unacked-to-WAL state rolled back, must recover on a fresh
-// store with every acknowledged placement intact — the two-barrier protocol's
-// contract under a sick disk plus a crash.
+// its refused batches rolled back and WAL records still buffered when the
+// store is abandoned, must recover on a fresh store with exactly the
+// acknowledged placements, regenerating from the op log what the WAL lacks —
+// the one-barrier protocol's contract under a sick disk plus a crash.
 func TestServerDegradedRecoversAcrossRestart(t *testing.T) {
 	root := t.TempDir()
 	inj := vfs.NewInjector(vfs.OS{})
@@ -223,6 +224,26 @@ func TestServerDegradedRecoversAcrossRestart(t *testing.T) {
 	for i := range want {
 		if pl.Placements[i] != want[i] {
 			t.Fatalf("recovered placement %d = %+v, want %+v", i, pl.Placements[i], want[i])
+		}
+	}
+}
+
+// TestServerOneBarrierPerBatch pins the write path's cost: a group commit
+// with mutations fsyncs the op log once before it acknowledges, and nothing
+// else does on the way. The WAL syncs every 64 records, at checkpoints and
+// on close, none of which this short run without checkpoints reaches.
+func TestServerOneBarrierPerBatch(t *testing.T) {
+	inj := vfs.NewInjector(vfs.OS{})
+	ts, _ := newTestServer(t, t.TempDir(), Limits{FS: inj})
+	cfg := TenantConfig{Name: "one", Dim: 2, Policy: "FirstFit"}
+	mustStatus(t, http.StatusCreated, call(t, "POST", ts.URL+"/v1/tenants", cfg, nil), "create")
+
+	before := inj.Counts()[vfs.FaultSync]
+	for i, it := range stream(2, 20, 0) {
+		mustStatus(t, http.StatusOK, call(t, "POST", ts.URL+"/v1/tenants/one/place",
+			placeBody{Arrival: f(it.arrival), Departure: f(it.departure), Size: it.size}, nil), "place")
+		if got := inj.Counts()[vfs.FaultSync] - before; got != int64(i+1) {
+			t.Fatalf("%d acknowledged single-request batches cost %d fsyncs, want one each", i+1, got)
 		}
 	}
 }

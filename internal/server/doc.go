@@ -5,13 +5,14 @@
 // checkpoints under one directory — driven by a single worker goroutine that
 // batches requests from a bounded queue and group-commits them.
 //
-// The durability contract is two fsync barriers per batch: client operations
-// are appended to the tenant's op log and synced before the engine steps
-// (so the WAL never references an item the op log could lose), and the WAL is
-// synced before any client is acknowledged (so an acknowledged placement
-// survives SIGKILL). That protocol and recovery belong to persist.DynamicRun;
-// this package adds queueing, batching, HTTP error mapping, the
-// retry/degrade/poison policy for failed barriers, and metrics (DESIGN.md §12).
+// The durability contract is one fsync barrier per batch: client operations
+// are appended to the tenant's op log and synced before the engine steps, and
+// clients are acknowledged once the engine has applied them. An acknowledged
+// placement survives SIGKILL because recovery regenerates from the op log
+// every event the trailing WAL had not synced. That protocol and recovery
+// belong to persist.DynamicRun; this package adds queueing, batching, HTTP
+// error mapping, the retry/degrade/poison policy for a failed barrier, and
+// metrics (DESIGN.md §12).
 //
 // Backpressure is explicit: a full tenant queue answers 429, an expired
 // request deadline or a draining server answers 503, and /healthz–/readyz

@@ -135,8 +135,9 @@ type response struct {
 }
 
 // PlaceResult acknowledges one placement. By the time a client reads it, the
-// item's admission is in the fsynced op log and its placement event in the
-// fsynced WAL.
+// item's admission is in the fsynced op log and the engine has committed its
+// placement; recovery after a crash regenerates that placement from the op
+// log if the WAL had not yet synced it (DESIGN.md §12).
 type PlaceResult struct {
 	Tenant string  `json:"tenant"`
 	Item   int     `json:"item"`
@@ -301,15 +302,15 @@ func (t *Tenant) work() {
 		t.process(batch)
 	}
 	// Intake closed and the queue drained: Close syncs both logs, so nothing
-	// acknowledged — or even admitted — is lost.
+	// admitted is lost and recovery has no events to regenerate.
 	t.run.Close()
 }
 
-// process runs one batch as a group commit in the run's two-barrier order:
-// admit, fsync the op log, apply, fsync the WAL, acknowledge. Transient
-// barrier failures retry with capped backoff; a disk that stays sick
-// degrades the tenant to read-only (503 for mutations, queries still served)
-// instead of poisoning it, and every later batch probes it to resume.
+// process runs one batch as a group commit with one barrier: admit, fsync the
+// op log, apply, acknowledge. Transient barrier failures retry with capped
+// backoff; a disk that stays sick rolls the batch back and degrades the
+// tenant to read-only (503 for mutations, queries still served) instead of
+// poisoning it, and every later batch probes it to resume.
 func (t *Tenant) process(batch []*request) {
 	if t.degraded != nil {
 		t.probe()
@@ -337,25 +338,11 @@ func (t *Tenant) process(batch []*request) {
 		}
 	}
 
-	// refuse answers every still-pending mutation with the tenant's current
-	// terminal error (failed beats degraded).
-	refuse := func() {
-		terminal := t.failed
-		if terminal == nil {
-			terminal = t.degraded
-		}
-		for _, i := range mutations {
-			if resps[i].err == nil {
-				resps[i].err = terminal
-			}
-		}
-		mutations = nil
-	}
-
-	// Phase 2: first barrier — ops durable before the engine may step. On a
-	// recoverable failure the whole batch rolls back, watermark included, and
-	// the tenant degrades; only corruption, or a rollback that itself fails,
-	// poisons it.
+	// Phase 2: the barrier — ops durable before the engine may step, so every
+	// placement applied below survives a crash. On a recoverable failure the
+	// whole batch rolls back, watermark included, and the tenant degrades: its
+	// engine holds exactly its acknowledged state. Only corruption, or a
+	// rollback that itself fails, poisons it.
 	if len(mutations) > 0 && t.failed == nil {
 		if err := t.retryIO(t.run.SyncOps); err != nil {
 			if persist.Recoverable(err) {
@@ -367,13 +354,20 @@ func (t *Tenant) process(batch []*request) {
 			} else {
 				t.fail("op log sync: %v", err)
 			}
-			refuse()
+			terminal := t.failed // failed beats degraded
+			if terminal == nil {
+				terminal = t.degraded
+			}
+			for _, i := range mutations {
+				resps[i].err = terminal
+			}
 		}
 	}
 
 	// Phase 3: apply, in batch order. Queries run here too — degraded mode
 	// keeps serving them — and each sees exactly the batch mutations that
-	// preceded it.
+	// preceded it. A tenant poisoned while applying answers the rest of the
+	// batch with its failure.
 	logged := t.run.Logged()
 	for i, req := range batch {
 		r := &resps[i]
@@ -399,27 +393,7 @@ func (t *Tenant) process(batch []*request) {
 	}
 	t.m.events.Add(uint64(t.run.Logged() - logged))
 
-	// Phase 4: second barrier — the WAL durable before anyone is told. The
-	// engine already stepped these events, so on a recoverable failure they
-	// stay applied (item IDs are positional; un-stepping would skew them
-	// against the durable op log) but unacknowledged: the probe re-syncs
-	// them, and recovery after a crash regenerates them from the op log. A
-	// tenant poisoned while applying skips the barrier and acknowledges none
-	// of the batch.
-	if len(mutations) > 0 && t.failed == nil {
-		if err := t.retryIO(t.run.SyncWAL); err != nil {
-			if persist.Recoverable(err) {
-				t.degrade(err)
-			} else {
-				t.fail("wal sync: %v", err)
-			}
-		}
-	}
-	if len(mutations) > 0 && (t.failed != nil || t.degraded != nil) {
-		refuse()
-	}
-
-	// Phase 5: acknowledge.
+	// Phase 4: acknowledge.
 	for i, req := range batch {
 		req.reply <- resps[i]
 	}
@@ -458,10 +432,10 @@ func (t *Tenant) degrade(cause error) {
 	t.m.degraded.Add(1)
 }
 
-// probe re-runs both durability barriers over whatever is buffered: success
-// lifts degraded mode, a recoverable failure keeps it, anything else poisons.
+// probe re-runs the barrier with a real fsync: success lifts degraded mode,
+// a recoverable failure keeps it, anything else poisons.
 func (t *Tenant) probe() {
-	err := t.run.Probe()
+	err := t.run.SyncOps()
 	switch {
 	case err == nil:
 		t.degraded = nil
