@@ -52,9 +52,12 @@ stress:
 # cmd/dvbpserver contributes the restart-under-load server torture: SIGKILL
 # mid-load, restart, every acknowledged placement still served identically.
 # internal/persist contributes the mid-migration tortures (TestTortureMigration*):
-# kills landing between a drain's moves must recover byte-identically.
+# kills landing between a drain's moves must recover byte-identically; and the
+# golden corpus (TestGoldenCorpusReplays), which pins placement decisions
+# across binary versions — a server tenant's acknowledged placements are
+# rebuilt from its op log, so a decision change would rewrite them.
 torture-smoke:
-	$(GO) test -race -run='Torture|KillAt|SIGKILL|Recover|Restore' \
+	$(GO) test -race -run='Torture|KillAt|SIGKILL|Recover|Restore|Golden' \
 		./internal/persist ./internal/server ./cmd/dvbpchaos ./cmd/dvbpsim ./cmd/dvbpserver
 
 # End-to-end smoke for the placement service: boot dvbpserver, create a

@@ -24,13 +24,15 @@ import (
 func TestServeLoadSurvivesSickDisk(t *testing.T) {
 	// One-shot faults well past the store-open and tenant-create window, so
 	// they land under load: every place costs one op-log fsync, and
-	// 2 tenants x 40 items supply about a hundred (WAL fsyncs add a few at
-	// each checkpoint).
-	inj := vfs.NewInjector(vfs.OS{},
-		vfs.Fault{Kind: vfs.FaultSync, Nth: 60, Err: syscall.ENOSPC},
-		vfs.Fault{Kind: vfs.FaultSync, Nth: 75, Err: syscall.ENOSPC},
-		vfs.Fault{Kind: vfs.FaultSync, Nth: 90, Err: syscall.EIO},
-	)
+	// 2 tenants x 40 items supply about ninety, the last few of them
+	// snapshot fsyncs at each tenant's first checkpoint (retries after a
+	// refusal add a few more).
+	plan := []vfs.Fault{
+		{Kind: vfs.FaultSync, Nth: 45, Err: syscall.EIO},
+		{Kind: vfs.FaultSync, Nth: 60, Err: syscall.ENOSPC},
+		{Kind: vfs.FaultSync, Nth: 75, Err: syscall.ENOSPC},
+	}
+	inj := vfs.NewInjector(vfs.OS{}, plan...)
 	reg := metrics.NewRegistry()
 	store, err := server.OpenStore(t.TempDir(), server.Limits{
 		FS:           inj,
@@ -61,6 +63,12 @@ func TestServeLoadSurvivesSickDisk(t *testing.T) {
 	}
 	if m, ok := snap.Find("dvbp_server_degraded_tenants"); !ok || m.Value != 0 {
 		t.Fatalf("degraded_tenants %v after the load drained, want 0", m.Value)
+	}
+
+	// The plan's last fault must have fired: a fault that never lands tests
+	// nothing.
+	if n, last := inj.Counts()[vfs.FaultSync], plan[len(plan)-1].Nth; n < last {
+		t.Fatalf("the run performed %d fsyncs; the fault planned at the %dth never fired", n, last)
 	}
 
 	if err := runServeVerify(ts.URL, acks); err != nil {

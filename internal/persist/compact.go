@@ -106,7 +106,7 @@ func (s *Session) Compact() error {
 		content = appendRecord(content, r)
 	}
 	oldSize := fd.Size
-	if err := writeFileAtomic(s.fsys, path, content); err != nil {
+	if err := WriteFileAtomic(s.fsys, path, content); err != nil {
 		return err
 	}
 	// The old descriptor now points at an unlinked inode; swap writers.
@@ -127,22 +127,26 @@ func (s *Session) Compact() error {
 	// Garbage-collect snapshots that predate the base: recovery can no
 	// longer use them (the events to replay past them are gone). Failures
 	// here are cosmetic; the next compaction retries.
-	snaps, err := listSnapshots(s.fsys, s.cfg.Dir)
-	if err != nil {
-		return nil
-	}
-	for _, sf := range snaps {
-		if sf.seq >= s.walBase {
-			continue
-		}
-		p := filepath.Join(s.cfg.Dir, sf.name)
-		if info, err := s.fsys.Stat(p); err == nil {
-			if s.fsys.Remove(p) == nil {
-				s.stats.ReclaimedBytes += info.Size()
-			}
-		}
-	}
+	reclaimed, _ := pruneSnapshots(s.fsys, s.cfg.Dir, s.walBase)
+	s.stats.ReclaimedBytes += reclaimed
 	return nil
+}
+
+// pruneSnapshots removes the snapshots in dir below event seq below, oldest
+// first, up to the first failed removal, and returns the bytes reclaimed.
+func pruneSnapshots(fsys vfs.FS, dir string, below int64) (int64, error) {
+	snaps, err := listSnapshots(fsys, dir)
+	var reclaimed int64
+	for i := 0; err == nil && i < len(snaps) && snaps[i].seq < below; i++ {
+		p := filepath.Join(dir, snaps[i].name)
+		info, serr := fsys.Stat(p)
+		if err = fsys.Remove(p); err != nil {
+			err = ioErr("remove", snaps[i].name, err)
+		} else if serr == nil {
+			reclaimed += info.Size()
+		}
+	}
+	return reclaimed, err
 }
 
 // compactOpLog atomically rewrites a clean, fully-synced op log keeping every
@@ -183,7 +187,7 @@ func compactOpLog(fsys vfs.FS, path, label string) (*Writer, int64, error) {
 		}
 		content = appendRecord(content, scratch)
 	}
-	if err := writeFileAtomic(fsys, path, content); err != nil {
+	if err := WriteFileAtomic(fsys, path, content); err != nil {
 		return nil, 0, err
 	}
 	w, err := openAppend(fsys, path, int64(len(content)), SyncManual)

@@ -8,9 +8,10 @@
 // The design leans on the engine's determinism contract: the event stream is
 // a pure function of (instance, policy, options), so recovery does not need
 // to re-apply logged events as mutations. Instead it restores the newest
-// valid snapshot and re-steps the engine, verifying that every regenerated
-// event is bit-identical to the logged suffix — the WAL tells recovery how
-// far the run had progressed and doubles as an end-to-end determinism check.
+// valid snapshot and re-steps the engine. In a static run the WAL tells
+// recovery how far the run had progressed, and every regenerated event is
+// checked bit for bit against it; a dynamic run re-steps to its op log's
+// watermark.
 //
 // Derived structures are deliberately absent from the on-disk format. In
 // particular the engine's indexed bin store (internal/binindex) is rebuilt
@@ -42,10 +43,11 @@
 //   - oplog.go, dynamic.go: a dynamic run's op log, and DynamicRun, the one
 //     owner of its write path (DESIGN.md §12) that server tenants run and the
 //     dynamic crash-point sweep drives: one op-log fsync per group commit,
-//     with the WAL trailing it as a verified cache. OpenDynamic replays the
-//     WAL's durable prefix and regenerates every later event from the op
-//     log, so an acknowledged placement rests on the op log and the engine's
-//     determinism; testdata/golden pins the latter across versions.
+//     and no WAL. The op log plus the newest snapshot are the run's whole
+//     durable state; OpenDynamic restores the snapshot and re-steps the
+//     engine through the rest of the op log, so an acknowledged placement
+//     rests on the op log and the engine's determinism, which
+//     testdata/golden pins across versions.
 //
 // The kill-and-recover torture tests (torture_test.go and cmd/dvbpchaos)
 // exercise the full matrix: process kills at arbitrary event indices, WAL

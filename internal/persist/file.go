@@ -193,9 +193,6 @@ func (w *Writer) Size() int64 { return w.size }
 // Synced returns the durably acknowledged size.
 func (w *Writer) Synced() int64 { return w.synced }
 
-// Buffered reports whether records are waiting for a Sync.
-func (w *Writer) Buffered() bool { return len(w.buf) > 0 }
-
 // Close syncs and closes the file.
 func (w *Writer) Close() error {
 	if w.discarded {
@@ -276,15 +273,10 @@ func syncDir(fsys vfs.FS, dir string) error {
 
 // WriteFileAtomic writes content to path via a temp file + rename + directory
 // sync, so a crash never leaves a half-written file under the final name. The
-// server layer uses it for its tenant manifest; snapshots go through it too.
-// fsys nil means the real filesystem.
+// server layer uses it for its tenant manifest; snapshots and compactions go
+// through it too. fsys nil means the real filesystem.
 func WriteFileAtomic(fsys vfs.FS, path string, content []byte) error {
-	return writeFileAtomic(vfs.OrOS(fsys), path, content)
-}
-
-// writeFileAtomic writes content to path via a temp file + rename + directory
-// sync, so a crash never leaves a half-written file under the final name.
-func writeFileAtomic(fsys vfs.FS, path string, content []byte) error {
+	fsys = vfs.OrOS(fsys)
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

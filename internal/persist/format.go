@@ -43,10 +43,9 @@ const (
 	// KindSnapshot is a checkpoint: a meta record, the engine snapshot, and
 	// any auxiliary state records.
 	KindSnapshot FileKind = 2
-	// KindOpLog is a dynamic run's operation log: a meta record followed by
-	// one record per admitted client operation (item arrival or clock
-	// advance). It is the durable source of the run's item list — the WAL
-	// references items by ID, the op log holds their content.
+	// KindOpLog is a dynamic run's operation log, its only log: a meta
+	// record followed by one record per admitted client operation (item
+	// arrival or clock advance).
 	KindOpLog FileKind = 3
 )
 

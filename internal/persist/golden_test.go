@@ -40,6 +40,13 @@ var goldenCases = []goldenCase{
 	{"d2-worstfit", 2, "WorstFit", 0, 4},
 	{"d2-randomfit-seed7", 2, "RandomFit", 7, 5},
 	{"d2-farb", 2, "FARB", 0, 6},
+	{"d5-firstfit", 5, "FirstFit", 0, 7},
+	{"d5-bestfit", 5, "BestFit", 0, 8},
+	{"d1-nextfit", 1, "NextFit", 0, 9},
+	{"d2-lastfit", 2, "LastFit", 0, 10},
+	{"d2-dotproduct", 2, "DotProduct", 0, 11},
+	{"d2-l2residual", 2, "L2Residual", 0, 12},
+	{"d2-adaptivehybrid", 2, "AdaptiveHybrid", 0, 13},
 }
 
 func (c goldenCase) meta() RunMeta { return NewDynamicRunMeta(c.dim, c.policy, c.seed, "") }
@@ -155,8 +162,8 @@ func readGoldenPlacements(t *testing.T, c goldenCase) []core.Placement {
 }
 
 // TestGoldenCorpusReplays recovers every recorded op log through OpenDynamic
-// with a WAL that holds no events, so each placement is regenerated by the
-// current engine, and requires the recorded placements exactly.
+// with no snapshot, so each placement is regenerated by the current engine,
+// and requires the recorded placements exactly.
 func TestGoldenCorpusReplays(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -179,13 +186,6 @@ func TestGoldenCorpusReplays(t *testing.T) {
 				}
 			}
 			if err != nil {
-				t.Fatal(err)
-			}
-			wal, err := createLog(m, "g/"+walFile, KindWAL, c.meta(), SyncManual)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := wal.Close(); err != nil {
 				t.Fatal(err)
 			}
 			r, _, err := OpenDynamic(c.meta(), Config{Dir: "g", Label: c.name, FS: m})

@@ -34,9 +34,8 @@ type RunMeta struct {
 	Migration string `json:"migration,omitempty"`
 	// Dynamic marks a dynamic-arrival run (core.WithDynamicArrivals): the
 	// item list grows while the run is live, so Items and WorkloadHash cannot
-	// be pinned up front. Content integrity comes from the caller's op log
-	// (each op record is CRC-guarded) plus replay verification, which
-	// compares every regenerated event to the WAL bit for bit.
+	// be pinned up front. Content integrity comes from the op log (each op
+	// record is CRC-guarded) and the snapshot's own checks against it.
 	Dynamic bool `json:"dynamic,omitempty"`
 }
 
@@ -52,19 +51,15 @@ func NewRunMeta(l *item.List, policy string, seed int64, faultPlan string) RunMe
 	}
 }
 
-// dynamicHash is the WorkloadHash sentinel of dynamic runs, whose workload
-// is not known when the run starts.
-const dynamicHash = "dynamic"
-
 // NewDynamicRunMeta builds the metadata for a dynamic-arrival run: the item
 // list starts empty and grows with the op log, so only the dimension (and the
-// policy identity) is pinned.
+// policy identity) is pinned; WorkloadHash holds the sentinel "dynamic".
 func NewDynamicRunMeta(dim int, policy string, seed int64, faultPlan string) RunMeta {
 	return RunMeta{
 		Policy:       policy,
 		Seed:         seed,
 		Dim:          dim,
-		WorkloadHash: dynamicHash,
+		WorkloadHash: "dynamic",
 		FaultPlan:    faultPlan,
 		Dynamic:      true,
 	}
@@ -120,20 +115,9 @@ func decodeMeta(payload []byte) (RunMeta, error) {
 
 // check verifies that m describes a run over l. A mismatch is a user error
 // (wrong directory or wrong instance), reported plainly rather than as
-// corruption.
+// corruption. Dynamic runs recover through OpenDynamic, which checks the op
+// log's meta instead; here their meta matches no instance.
 func (m RunMeta) check(l *item.List) error {
-	if m.Dynamic {
-		// The list is rebuilt from the op log and may cover any prefix
-		// extension of the logged run; only the dimension is checkable here.
-		// Replay verification vouches for the content.
-		if m.WorkloadHash != dynamicHash {
-			return fmt.Errorf("persist: dynamic run carries workload hash %q, want %q", m.WorkloadHash, dynamicHash)
-		}
-		if m.Dim != l.Dim {
-			return fmt.Errorf("persist: run is over a d=%d instance, got d=%d", m.Dim, l.Dim)
-		}
-		return nil
-	}
 	if m.Dim != l.Dim || m.Items != l.Len() {
 		return fmt.Errorf("persist: run is over a d=%d n=%d instance, got d=%d n=%d", m.Dim, m.Items, l.Dim, l.Len())
 	}

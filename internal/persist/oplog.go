@@ -10,12 +10,12 @@ import (
 	"dvbp/internal/vfs"
 )
 
-// The operation log (KindOpLog) is a dynamic run's durable input stream: one
-// record per admitted client operation, appended and fsynced BEFORE the
-// operation's engine events may reach the WAL. That ordering is the
-// multi-tenant recovery invariant — every event a durable WAL can hold
-// references an item a durable op log already carries, so rebuilding the item
-// list from the op log and replaying the WAL against it always lines up.
+// The operation log (KindOpLog) is a dynamic run's durable input stream and
+// its only log: one record per admitted client operation, appended and
+// fsynced BEFORE the engine steps on the operation. That ordering is the
+// multi-tenant recovery invariant — every snapshot covers only items a
+// durable op log already carries, so restoring it over the item list rebuilt
+// from the op log and re-stepping to the watermark always lines up.
 //
 // Record payload layouts (after the shared meta record):
 //
@@ -100,7 +100,7 @@ func decodeOp(payload []byte, d int) (opRecord, error) {
 // opLogData is a recovered operation log.
 type opLogData struct {
 	Meta RunMeta    // the run's identity (the log's first record)
-	List *item.List // the items in log order: the list the WAL replays against
+	List *item.List // the items in log order: the list the engine is rebuilt over
 	Ops  []opRecord // the full decoded operation stream
 	// Watermark is the run's admission floor, the largest arrival or advance
 	// target, which recovery re-runs the clock to so every acknowledged event

@@ -301,8 +301,8 @@ func TestRecoverLabelsCorruptionWithRun(t *testing.T) {
 
 // commitItem runs one single-request group commit through r, in the order a
 // server tenant runs it: admit the item (and, with advance, a clock advance
-// to its arrival), the barrier, apply, then TakeIOStats, whose counters are
-// added to st. Admission itself never touches the disk, so a
+// to its arrival), the barrier, apply, then TakeIOStats, whose compaction
+// count is added to st. Admission itself never touches the disk, so a
 // refusal fails the test.
 func commitItem(t *testing.T, r *DynamicRun, it item.Item, advance bool, st *IOStats) error {
 	t.Helper()
@@ -324,20 +324,27 @@ func commitItem(t *testing.T, r *DynamicRun, it item.Item, advance bool, st *IOS
 			return err
 		}
 	}
-	got, err := r.TakeIOStats()
-	st.Compactions += got.Compactions
-	st.OpLogCompactions += got.OpLogCompactions
-	return err
+	st.Compactions += r.TakeIOStats().Compactions
+	return nil
 }
 
-// finishDynamic closes r's op log and runs its engine to completion — the
-// end of a test run, which a server tenant never reaches.
+// finishDynamic closes r's op log and runs its engine to completion, writing
+// nothing more — the end of a test run, which a server tenant never reaches.
 func finishDynamic(r *DynamicRun) (*core.Result, error) {
 	if err := r.ops.Close(); err != nil {
-		r.session.Close()
+		r.engine.Close()
 		return nil, err
 	}
-	return r.session.Run()
+	for {
+		_, ok, err := r.engine.Step()
+		if err != nil {
+			r.engine.Close()
+			return nil, err
+		}
+		if !ok {
+			return r.engine.Finish()
+		}
+	}
 }
 
 // dynItems is a deterministic dynamic workload: non-decreasing arrivals with
@@ -397,9 +404,10 @@ func TestDynamicSessionKillRecoverResume(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Recover: rebuild the list from the op log, then replay the WAL against
-	// it. The snapshot taken mid-stream covers a strict prefix of the op-log
-	// list; recovery must accept it and replay the rest.
+	// Recover: rebuild the list from the op log, restore the newest snapshot
+	// over it and re-step to the watermark. The snapshot taken mid-stream
+	// covers a strict prefix of the op-log list; recovery must accept it and
+	// re-step the rest.
 	r, rec, err := OpenDynamic(meta, cfg)
 	if err != nil {
 		t.Fatalf("OpenDynamic: %v", err)
@@ -422,5 +430,48 @@ func TestDynamicSessionKillRecoverResume(t *testing.T) {
 	}
 	if final.List.Len() != n {
 		t.Fatalf("final op log holds %d items, want %d", final.List.Len(), n)
+	}
+}
+
+// TestOpenDynamicIgnoresLeftoverWAL pins that a dynamic run's durable state
+// is its op log plus snapshots: a wal.dvbp left in the directory, here one
+// that is not even a persist file, plays no part in recovery.
+func TestOpenDynamicIgnoresLeftoverWAL(t *testing.T) {
+	meta := NewDynamicRunMeta(2, "firstfit", 11, "")
+	cfg := Config{Dir: t.TempDir(), Label: "tenant-old", Every: 8}
+	r, err := CreateDynamic(meta, cfg)
+	if err != nil {
+		t.Fatalf("CreateDynamic: %v", err)
+	}
+	var st IOStats
+	for _, it := range dynItems(20) {
+		if err := commitItem(t, r, it, false, &st); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+	}
+	want := placementsOf(t, r.Engine())
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(cfg.Dir, walFile), []byte("left by an older binary"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, rec, err := OpenDynamic(meta, cfg)
+	if err != nil {
+		t.Fatalf("OpenDynamic beside a leftover WAL: %v", err)
+	}
+	defer r.Close()
+	if len(rec.Corruptions) != 0 {
+		t.Fatalf("recovery reported %v", rec.Corruptions)
+	}
+	got := placementsOf(t, r.Engine())
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d placements, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("placement %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

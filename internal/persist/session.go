@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 
 	"dvbp/internal/core"
@@ -45,7 +46,7 @@ type Config struct {
 	// rather than just which file.
 	Label string
 	// Every takes an automatic checkpoint after this many events; 0 disables
-	// automatic checkpoints (the WAL alone still recovers via full replay).
+	// automatic checkpoints (the log alone still recovers via full replay).
 	Every int64
 	// SyncEvery batches WAL fsyncs (default 64 records; SyncManual disables
 	// auto-sync so only explicit syncs reach the device).
@@ -58,7 +59,8 @@ type Config struct {
 	// Compact truncates the WAL prefix after each successful automatic
 	// checkpoint (and prunes snapshots below the new base), bounding on-disk
 	// size by the snapshot interval instead of the run length. See
-	// Session.Compact and DESIGN.md §15.
+	// Session.Compact and DESIGN.md §15. A DynamicRun ignores it: it always
+	// prunes and compacts its op log at each checkpoint.
 	Compact bool
 }
 
@@ -73,12 +75,11 @@ type IOStats struct {
 	// CheckpointsSkipped counts automatic checkpoints skipped on recoverable
 	// I/O errors; the next interval tries again.
 	CheckpointsSkipped int64
-	// Compactions counts completed WAL compactions.
+	// Compactions counts completed compactions: of the WAL in a Session, of
+	// the op log in a DynamicRun.
 	Compactions int64
-	// OpLogCompactions counts completed op-log compactions (DynamicRun).
-	OpLogCompactions int64
-	// ReclaimedBytes sums the on-disk bytes compaction reclaimed (WAL prefix,
-	// pruned snapshots, a DynamicRun's op log).
+	// ReclaimedBytes sums the on-disk bytes compaction reclaimed (WAL prefix
+	// or op log, and pruned snapshots).
 	ReclaimedBytes int64
 }
 
@@ -119,14 +120,8 @@ func Begin(e *core.Engine, meta RunMeta, cfg Config) (*Session, error) {
 	}
 	// Remove checkpoints from any earlier run in the directory: they would
 	// otherwise be mistaken for this run's on recovery.
-	old, err := listSnapshots(fsys, cfg.Dir)
-	if err != nil {
+	if _, err := pruneSnapshots(fsys, cfg.Dir, math.MaxInt64); err != nil {
 		return nil, err
-	}
-	for _, f := range old {
-		if err := fsys.Remove(filepath.Join(cfg.Dir, f.name)); err != nil {
-			return nil, ioErr("remove", f.name, err)
-		}
 	}
 	wal, err := createLog(fsys, filepath.Join(cfg.Dir, walFile), KindWAL, meta, cfg.SyncEvery)
 	if err != nil {
@@ -217,25 +212,36 @@ func (s *Session) Checkpoint() error {
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
-	snap, err := s.engine.Snapshot()
+	seq, err := writeSnapshot(s.fsys, s.engine, s.meta, s.cfg)
 	if err != nil {
 		return err
 	}
+	s.lastSnap = seq
+	return nil
+}
+
+// writeSnapshot captures e and cfg's aux subsystems at the current event
+// boundary into an atomically-written snapshot file in cfg.Dir and returns
+// its event sequence. The caller makes the log it builds on durable first.
+func writeSnapshot(fsys vfs.FS, e *core.Engine, meta RunMeta, cfg Config) (int64, error) {
+	snap, err := e.Snapshot()
+	if err != nil {
+		return 0, err
+	}
 	content := appendHeader(nil, KindSnapshot)
-	content = appendRecord(content, encodeMeta(s.meta))
+	content = appendRecord(content, encodeMeta(meta))
 	content = appendRecord(content, EncodeSnapshot(snap))
-	for _, aux := range s.cfg.Aux {
+	for _, aux := range cfg.Aux {
 		blob, err := aux.MarshalAux()
 		if err != nil {
-			return fmt.Errorf("persist: aux %q: %w", aux.AuxKey(), err)
+			return 0, fmt.Errorf("persist: aux %q: %w", aux.AuxKey(), err)
 		}
 		content = appendRecord(content, encodeAux(aux.AuxKey(), blob))
 	}
-	if err := writeFileAtomic(s.fsys, filepath.Join(s.cfg.Dir, snapName(snap.EventSeq)), content); err != nil {
-		return err
+	if err := WriteFileAtomic(fsys, filepath.Join(cfg.Dir, snapName(snap.EventSeq)), content); err != nil {
+		return 0, err
 	}
-	s.lastSnap = snap.EventSeq
-	return nil
+	return snap.EventSeq, nil
 }
 
 // Finish syncs and closes the WAL and seals the engine into its Result.

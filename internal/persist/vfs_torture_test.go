@@ -128,9 +128,9 @@ func TestDiskTortureCrashPointsStatic(t *testing.T) {
 func dynTortureMeta() RunMeta { return NewDynamicRunMeta(2, "firstfit", 11, "") }
 
 // dynTortureCfg is the dynamic sweep's run shape: checkpoints every 8
-// events, each followed by a WAL compaction and then an op-log compaction.
+// events, each followed by snapshot pruning and an op-log compaction.
 func dynTortureCfg(fsys vfs.FS) Config {
-	return Config{Dir: "tenant", Label: "dyn", Every: 8, FS: fsys, Compact: true}
+	return Config{Dir: "tenant", Label: "dyn", Every: 8, FS: fsys}
 }
 
 // feedDynamicTorture feeds items through r — the type the server's tenants
@@ -177,15 +177,11 @@ func driveDynamicTorture(t *testing.T, items []item.Item, fsys vfs.FS, fresh boo
 
 // checkResumePoint requires a run fresh out of OpenDynamic to stand exactly
 // where an uninterrupted run fed its durable op log stands: the same
-// placements, clock and event count. With finishing set the crash hit while
-// the run was being finished, past its last op, so the durable WAL may lead
-// the op log; the reference then continues to the recovered event count
-// first. It returns how many events recovery regenerated past the durable
-// WAL prefix.
-func checkResumePoint(t *testing.T, r *DynamicRun, rec *Recovery, finishing bool) int64 {
+// placements, clock and event count.
+func checkResumePoint(t *testing.T, r *DynamicRun) {
 	t.Helper()
 	cfg := dynTortureCfg(nil)
-	logged, err := readOpLog(r.session.fsys, filepath.Join(cfg.Dir, opsFile), cfg.Label)
+	logged, err := readOpLog(r.fsys, filepath.Join(cfg.Dir, opsFile), cfg.Label)
 	if err != nil {
 		t.Fatalf("re-reading the recovered op log: %v", err)
 	}
@@ -196,11 +192,6 @@ func checkResumePoint(t *testing.T, r *DynamicRun, rec *Recovery, finishing bool
 	defer ref.Close()
 	commitOps(t, ref, logged.Ops)
 	got := r.Engine().Stats()
-	for finishing && ref.Engine().Stats().EventSeq < got.EventSeq {
-		if _, ok, err := ref.session.Step(); err != nil || !ok {
-			t.Fatalf("reference run ended at event %d before the recovered %d: %v", ref.Engine().Stats().EventSeq, got.EventSeq, err)
-		}
-	}
 	if want := ref.Engine().Stats(); got.EventSeq != want.EventSeq || got.Clock != want.Clock {
 		t.Fatalf("recovered engine at event %d, clock %g; the durable op log leads to event %d, clock %g",
 			got.EventSeq, got.Clock, want.EventSeq, want.Clock)
@@ -214,18 +205,17 @@ func checkResumePoint(t *testing.T, r *DynamicRun, rec *Recovery, finishing bool
 			t.Fatalf("recovered placement %d = %+v; the durable op log leads to %+v", i, gotP[i], wantP[i])
 		}
 	}
-	return r.Logged() - (rec.SnapshotSeq + rec.Replayed)
 }
 
 // TestDiskTortureCrashPointsDynamic is the dynamic-run (multi-tenant-shaped)
-// crash-point sweep: the server's one-barrier op-log + WAL protocol, run by
-// the production DynamicRun with both compaction paths active, killed at
-// every FS operation in turn and resumed through OpenDynamic, the recovery
-// the server uses. Right after recovery the engine must stand where its
-// durable op log leads, and the final packing must come out byte-identical
-// at every crash point — that is the acknowledged-placements contract made
-// exhaustive. Some crash points must leave the WAL behind the op log, so the
-// sweep covers recovery regenerating events the WAL lost.
+// crash-point sweep: the server's one-barrier op-log protocol, run by the
+// production DynamicRun with checkpoints, snapshot pruning and op-log
+// compaction active, killed at every FS operation in turn and resumed through
+// OpenDynamic, the recovery the server uses. Right after recovery the engine
+// must stand where its durable op log leads, and the final packing must come
+// out byte-identical at every crash point — that is the
+// acknowledged-placements contract made exhaustive. Both recovery paths must
+// be covered: restoring a snapshot, and rebuilding from the op log alone.
 func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	items := dynItems(45)
 
@@ -238,9 +228,6 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline drive: %v", err)
 	}
-	// Crash points past fed land while finishDynamic steps the engine to the
-	// end of the run, past its last logged op.
-	fed := base.Ops()
 	res, err := finishDynamic(r)
 	if err != nil {
 		t.Fatalf("baseline finish: %v", err)
@@ -250,11 +237,11 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	if total < 100 {
 		t.Fatalf("baseline drive performed only %d mutating FS ops", total)
 	}
-	if st.Compactions == 0 || st.OpLogCompactions == 0 {
-		t.Fatalf("baseline drive ran %d WAL and %d op-log compactions; the sweep needs both", st.Compactions, st.OpLogCompactions)
+	if st.Compactions == 0 {
+		t.Fatalf("baseline drive ran no op-log compaction; the sweep needs one")
 	}
 
-	fallbacks, recovered, regenerating := 0, 0, 0
+	fallbacks, recovered, fromSnapshot, fromOpLog := 0, 0, 0, 0
 	for i := int64(1); i <= total; i++ {
 		m := vfs.NewMem()
 		m.SetCrashPoint(i, vfs.CrashMode(i%3), 3+11*i)
@@ -267,9 +254,14 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 		}
 		m.Restart()
 
-		var regenerated int64
 		res, rerr := driveDynamicTorture(t, items, m, false, func(r *DynamicRun, rec *Recovery) {
-			regenerated = checkResumePoint(t, r, rec, i > fed)
+			checkResumePoint(t, r)
+			switch {
+			case rec.SnapshotSeq > 0:
+				fromSnapshot++
+			case r.Engine().Stats().Items > 0:
+				fromOpLog++
+			}
 		})
 		if rerr != nil {
 			if !tortureCrashOK(rerr) {
@@ -285,9 +277,6 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 			fallbacks++
 		} else {
 			recovered++
-			if regenerated > 0 {
-				regenerating++
-			}
 		}
 		if got := resultJSON(t, res); got != want {
 			t.Fatalf("crash point %d/%d (mode %s): result diverged\n got %s\nwant %s",
@@ -297,11 +286,12 @@ func TestDiskTortureCrashPointsDynamic(t *testing.T) {
 	if recovered == 0 {
 		t.Fatalf("all %d crash points fell back to fresh runs", total)
 	}
-	if regenerating == 0 {
-		t.Fatalf("no crash point left the WAL behind the op log; recovery's regeneration path went unexercised")
+	if fromSnapshot == 0 || fromOpLog == 0 {
+		t.Fatalf("%d crash points restored a snapshot and %d rebuilt from a non-empty op log alone; the sweep needs both",
+			fromSnapshot, fromOpLog)
 	}
-	t.Logf("swept %d crash points: %d recovered (%d regenerating events the WAL lost), %d legitimate fresh restarts",
-		total, recovered, regenerating, fallbacks)
+	t.Logf("swept %d crash points: %d recovered (%d from a snapshot, %d from the op log alone), %d legitimate fresh restarts",
+		total, recovered, fromSnapshot, fromOpLog, fallbacks)
 }
 
 // TestCompactionBoundsWALSize proves the point of compaction: over many

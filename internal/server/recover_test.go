@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dvbp/internal/metrics"
@@ -11,9 +12,11 @@ import (
 
 // TestStoreRecoverAcknowledgedPlacements is the package-level crash story:
 // acknowledged placements survive a crash byte-identically, even when the
-// crash tears the files mid-append. It feeds several tenants, abandons the
-// store without a graceful drain, appends garbage to every WAL and op log
-// (the torn tail a SIGKILL mid-write leaves), reopens the store, and then
+// crash tears the files mid-append. It feeds several tenants, checks that
+// each tenant directory holds only its op log and, with checkpoints, its
+// newest snapshot, abandons the store without a graceful drain, appends
+// garbage to every op log (the torn tail a SIGKILL mid-write leaves),
+// reopens the store, and then
 // requires every acknowledged placement back, identical, with the watermark
 // intact and the tenants accepting new work. The process-level version — a
 // literal SIGKILL under HTTP load — lives in cmd/dvbpserver.
@@ -53,21 +56,45 @@ func TestStoreRecoverAcknowledgedPlacements(t *testing.T) {
 		watermarks[cfg.Name] = 40
 	}
 
-	// Crash: no drain, no close. Every acknowledged response above was
-	// preceded by its fsync barriers, so the durable state covers them all.
-	// Then tear every persist file the way an interrupted append would.
+	// A tenant's whole durable state is its op log plus, when it takes
+	// checkpoints, exactly one snapshot: no WAL.
 	for _, cfg := range tenants {
-		for _, name := range []string{"wal.dvbp", "ops.dvbp"} {
-			path := filepath.Join(root, cfg.Name, name)
-			fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatalf("open %s: %v", path, err)
-			}
-			if _, err := fh.Write([]byte{0x13, 0x37, 0x00}); err != nil {
-				t.Fatalf("tear %s: %v", path, err)
-			}
-			fh.Close()
+		if cfg.CheckpointEvery == 0 {
+			continue
 		}
+		entries, err := os.ReadDir(filepath.Join(root, cfg.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops, snaps int
+		for _, e := range entries {
+			switch name := e.Name(); {
+			case name == "ops.dvbp":
+				ops++
+			case strings.HasPrefix(name, "snap-"):
+				snaps++
+			case name == "wal.dvbp":
+				t.Fatalf("%s: tenant directory holds a WAL", cfg.Name)
+			}
+		}
+		if ops != 1 || snaps != 1 {
+			t.Fatalf("%s: directory holds %d op logs and %d snapshots, want 1 and 1", cfg.Name, ops, snaps)
+		}
+	}
+
+	// Crash: no drain, no close. Every acknowledged response above was
+	// preceded by its fsync barrier, so the durable state covers them all.
+	// Then tear every op log the way an interrupted append would.
+	for _, cfg := range tenants {
+		path := filepath.Join(root, cfg.Name, "ops.dvbp")
+		fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatalf("open %s: %v", path, err)
+		}
+		if _, err := fh.Write([]byte{0x13, 0x37, 0x00}); err != nil {
+			t.Fatalf("tear %s: %v", path, err)
+		}
+		fh.Close()
 	}
 
 	// Restart: a fresh registry and store over the same directory.

@@ -256,16 +256,14 @@ func TestServerStrandedChurnConsistent(t *testing.T) {
 		advanceBody{To: 10}, nil), "advance past the departures")
 
 	// Crash without a drain, tear the persist tails, and recover.
-	for _, name := range []string{"wal.dvbp", "ops.dvbp"} {
-		fh, err := os.OpenFile(filepath.Join(root, "churn", name), os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatalf("open %s: %v", name, err)
-		}
-		if _, err := fh.Write([]byte{0x13, 0x37, 0x00}); err != nil {
-			t.Fatalf("tear %s: %v", name, err)
-		}
-		fh.Close()
+	fh, err := os.OpenFile(filepath.Join(root, "churn", "ops.dvbp"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatalf("open ops.dvbp: %v", err)
 	}
+	if _, err := fh.Write([]byte{0x13, 0x37, 0x00}); err != nil {
+		t.Fatalf("tear ops.dvbp: %v", err)
+	}
+	fh.Close()
 	reg2 := metrics.NewRegistry()
 	store2, err := OpenStore(root, Limits{}, reg2)
 	if err != nil {

@@ -20,8 +20,8 @@ import (
 // Store directory layout:
 //
 //	root/tenants.json       manifest: []TenantConfig, atomically replaced
-//	root/<tenant>/          the tenant's persist.DynamicRun: op log ops.dvbp,
-//	                        write-ahead log wal.dvbp, checkpoints snap-*
+//	root/<tenant>/          the tenant's persist.DynamicRun: op log ops.dvbp
+//	                        and its newest checkpoint snap-*
 const manifestFile = "tenants.json"
 
 // tenantName pins the tenant-name grammar: path-safe, no dots, no
@@ -61,7 +61,7 @@ func newStoreMetrics(reg *metrics.Registry) *storeMetrics {
 		corruptions:    reg.Counter("dvbp_server_recovery_corruptions_total", "corruptions tolerated during tenant recovery (torn tails, skipped snapshots)"),
 		ioRetries:      reg.Counter("dvbp_server_io_retries_total", "transient I/O failures retried or absorbed instead of poisoning a tenant"),
 		degraded:       reg.Gauge("dvbp_server_degraded_tenants", "tenants currently in read-only degraded mode"),
-		compactions:    reg.Counter("dvbp_server_compactions_total", "WAL and op-log compactions completed across tenants"),
+		compactions:    reg.Counter("dvbp_server_compactions_total", "op-log compactions completed across tenants, at most one per checkpoint"),
 		reclaimed:      reg.Counter("dvbp_server_compaction_reclaimed_bytes_total", "on-disk bytes reclaimed by compaction"),
 	}
 }
@@ -176,7 +176,7 @@ func (s *Store) openTenant(cfg TenantConfig, create bool) (*Tenant, error) {
 	}
 	meta := persist.NewDynamicRunMeta(cfg.Dim, cfg.Policy, cfg.Seed, "")
 	pcfg := persist.Config{Dir: filepath.Join(s.root, cfg.Name), Label: cfg.Name,
-		Every: cfg.CheckpointEvery, FS: s.fs, Compact: cfg.CheckpointEvery > 0}
+		Every: cfg.CheckpointEvery, FS: s.fs}
 	var run *persist.DynamicRun
 	var rec *persist.Recovery
 	var err error
@@ -283,8 +283,8 @@ func (s *Store) Degraded() []string {
 }
 
 // Close drains every tenant: intake stops, queued batches finish and are
-// acknowledged, WALs and op logs sync and close. The store refuses new
-// tenants afterwards.
+// acknowledged, op logs sync and close. The store refuses new tenants
+// afterwards.
 func (s *Store) Close() {
 	s.mu.Lock()
 	s.closed = true

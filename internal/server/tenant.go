@@ -27,7 +27,8 @@ type TenantConfig struct {
 	// Seed seeds the policy (RandomFit; ignored by the others).
 	Seed int64 `json:"seed"`
 	// CheckpointEvery takes an automatic snapshot after this many engine
-	// events; 0 disables snapshots (recovery replays the whole WAL).
+	// events, and compacts the op log behind it; 0 disables snapshots
+	// (recovery re-steps the engine through the whole op log).
 	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
 }
 
@@ -136,8 +137,8 @@ type response struct {
 
 // PlaceResult acknowledges one placement. By the time a client reads it, the
 // item's admission is in the fsynced op log and the engine has committed its
-// placement; recovery after a crash regenerates that placement from the op
-// log if the WAL had not yet synced it (DESIGN.md §12).
+// placement; recovery after a crash rebuilds that placement from the op log
+// (DESIGN.md §12).
 type PlaceResult struct {
 	Tenant string  `json:"tenant"`
 	Item   int     `json:"item"`
@@ -301,8 +302,8 @@ func (t *Tenant) work() {
 		t.m.batchSize.Observe(float64(len(batch)))
 		t.process(batch)
 	}
-	// Intake closed and the queue drained: Close syncs both logs, so nothing
-	// admitted is lost and recovery has no events to regenerate.
+	// Intake closed and the queue drained: Close syncs the op log, so nothing
+	// admitted is lost.
 	t.run.Close()
 }
 
@@ -368,7 +369,7 @@ func (t *Tenant) process(batch []*request) {
 	// keeps serving them — and each sees exactly the batch mutations that
 	// preceded it. A tenant poisoned while applying answers the rest of the
 	// batch with its failure.
-	logged := t.run.Logged()
+	events := t.run.Engine().EventSeq()
 	for i, req := range batch {
 		r := &resps[i]
 		if r.err == nil && t.failed != nil {
@@ -391,14 +392,18 @@ func (t *Tenant) process(batch []*request) {
 			r.err = t.failed
 		}
 	}
-	t.m.events.Add(uint64(t.run.Logged() - logged))
+	t.m.events.Add(uint64(t.run.Engine().EventSeq() - events))
 
 	// Phase 4: acknowledge.
 	for i, req := range batch {
 		req.reply <- resps[i]
 	}
 
-	t.harvest()
+	// Drain the run's I/O counters into the server metrics.
+	st := t.run.TakeIOStats()
+	t.m.ioRetries.Add(uint64(st.CheckpointsSkipped))
+	t.m.compactions.Add(uint64(st.Compactions))
+	t.m.reclaimed.Add(uint64(st.ReclaimedBytes))
 }
 
 // retryIO runs op, retrying transient failures with exponential backoff
@@ -443,18 +448,6 @@ func (t *Tenant) probe() {
 		t.m.degraded.Add(-1)
 	case !persist.Recoverable(err):
 		t.fail("probe: %v", err)
-	}
-}
-
-// harvest drains the run's I/O counters into the server metrics after a
-// batch; the run compacts its op log behind a WAL compaction as it does.
-func (t *Tenant) harvest() {
-	st, err := t.run.TakeIOStats()
-	t.m.ioRetries.Add(uint64(st.SyncFailures + st.CheckpointsSkipped))
-	t.m.compactions.Add(uint64(st.Compactions + st.OpLogCompactions))
-	t.m.reclaimed.Add(uint64(st.ReclaimedBytes))
-	if err != nil {
-		t.fail("op log compaction: %v", err)
 	}
 }
 
