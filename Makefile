@@ -34,14 +34,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Repeated-run concurrency stress under the race detector: the scheduler,
-# sharded-sweep determinism, run-scoped metrics, the engine's policy-reuse
-# guard, and concurrent-read contracts. GOMAXPROCS is forced above the core
-# count so goroutines interleave even on small machines.
+# Repeated-run concurrency stress under the race detector: every test of the
+# shard scheduler (internal/parallel), then sharded-sweep determinism,
+# run-scoped metrics, the engine's policy-reuse guard, and concurrent-read
+# contracts. GOMAXPROCS is forced above the core count so goroutines
+# interleave even on small machines.
 stress:
+	GOMAXPROCS=4 $(GO) test -race -count=$(STRESSCOUNT) ./internal/parallel
 	GOMAXPROCS=4 $(GO) test -race -count=$(STRESSCOUNT) \
-		-run='Concurrent|Stress|Steal|Sweep|Shard|Slice|ForRun|Progress|Cancellation|Panic|WorkerCounts|Migration|Planners' \
-		./internal/parallel ./internal/experiments ./internal/metrics \
+		-run='Concurrent|Stress|Sweep|Shard|Slice|ForRun|Cancellation|Panic|WorkerCounts|Migration|Planners' \
+		./internal/experiments ./internal/metrics \
 		./internal/core ./internal/faults ./internal/vector ./internal/server \
 		./internal/migrate
 

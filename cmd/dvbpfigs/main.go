@@ -223,8 +223,8 @@ func policyList(names []string) string {
 	return strings.Join(names, ", ")
 }
 
-// renderFigures renders the selected figure shards into outDir through the
-// work-stealing scheduler and returns how many files were written.
+// renderFigures renders the figures the shard slice selects into outDir,
+// in parallel, and returns how many files were written.
 func renderFigures(outDir string, seed int64, n, workers int, shard experiments.ShardSlice) (int, error) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return 0, err
@@ -233,12 +233,7 @@ func renderFigures(outDir string, seed int64, n, workers int, shard experiments.
 	if err != nil {
 		return 0, err
 	}
-	var sel []int
-	for i := range figs {
-		if shard.Selects(i) {
-			sel = append(sel, i)
-		}
-	}
+	sel := shard.Indices(len(figs))
 	err = parallel.Run(len(sel), func(_ context.Context, j int) error {
 		f := figs[sel[j]]
 		svg, err := f.render()

@@ -31,8 +31,8 @@ type Figure4Config struct {
 	Policies []string
 	// Seed derives all per-trial seeds.
 	Seed int64
-	// RunControl supplies the execution knobs (Workers, Ctx, Progress,
-	// Shard, Observer); none of them affect results.
+	// RunControl supplies the execution knobs (Workers, Ctx, Shard,
+	// Observer); none of them affect results.
 	RunControl
 }
 

@@ -44,10 +44,8 @@ func newSweep[T any](experiment string, grid any, slice ShardSlice, dense []T) (
 		return nil, fmt.Errorf("experiments: marshal %s grid: %w", experiment, err)
 	}
 	s := &Sweep[T]{Version: SweepVersion, Experiment: experiment, Grid: g, Shards: len(dense), Slice: slice}
-	for i, v := range dense {
-		if slice.Selects(i) {
-			s.Values = append(s.Values, SweepValue[T]{Index: i, Value: v})
-		}
+	for _, i := range slice.Indices(len(dense)) {
+		s.Values = append(s.Values, SweepValue[T]{Index: i, Value: dense[i]})
 	}
 	return s, nil
 }

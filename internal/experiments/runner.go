@@ -38,6 +38,18 @@ func (s ShardSlice) All() bool { return s.Count <= 1 }
 // Selects reports whether global shard index i belongs to the slice.
 func (s ShardSlice) Selects(i int) bool { return s.All() || i%s.Count == s.Index }
 
+// Indices lists, in increasing order, the global indices in [0, n) that the
+// slice selects.
+func (s ShardSlice) Indices(n int) []int {
+	var sel []int
+	for i := 0; i < n; i++ {
+		if s.Selects(i) {
+			sel = append(sel, i)
+		}
+	}
+	return sel
+}
+
 // String renders "k/m" ("all" for the whole space).
 func (s ShardSlice) String() string {
 	if s.All() {
@@ -62,8 +74,8 @@ func ParseShardSlice(s string) (ShardSlice, error) {
 }
 
 // RunControl bundles the execution knobs shared by every experiment config:
-// scheduler parallelism, cancellation, progress reporting, shard selection,
-// and engine observability. It is embedded in the experiment configs, so its
+// scheduler parallelism, cancellation, shard selection and engine
+// observability. It is embedded in the experiment configs, so its
 // fields are read and written as cfg.Workers, cfg.Ctx, and so on. None of the
 // fields affect experiment results — the determinism contract (DESIGN.md §9)
 // guarantees bit-identical output for every Workers value and any partition
@@ -74,9 +86,6 @@ type RunControl struct {
 	// Ctx cancels outstanding shards early (e.g. a command -timeout); nil
 	// means Background. On cancellation the run returns the context error.
 	Ctx context.Context
-	// Progress, when non-nil, observes shard completion. It is called from
-	// worker goroutines (see parallel.ProgressFunc for the contract).
-	Progress parallel.ProgressFunc
 	// Shard restricts this invocation to a slice of the sweep's shard space;
 	// the zero value runs everything.
 	Shard ShardSlice
@@ -88,10 +97,6 @@ type RunControl struct {
 	// concurrent engines never share per-run observer state. The observer
 	// does not affect packing results.
 	Observer core.Observer
-}
-
-func (rc RunControl) runOptions() parallel.RunOptions {
-	return parallel.RunOptions{Workers: rc.Workers, Context: rc.Ctx, OnProgress: rc.Progress}
 }
 
 // observerOpts converts the optional shared observer into Simulate options
@@ -118,25 +123,20 @@ func (rc RunControl) requireUnsharded(experiment string) error {
 	return fmt.Errorf("experiments: %s does not support shard slices (only figure4 and table1 do)", experiment)
 }
 
-// runShards executes fn over the selected subset of an n-shard sweep through
-// the work-stealing scheduler and returns a dense result slice indexed by
-// global shard index. Unselected shards keep T's zero value — callers that
-// run sharded must only consume selected indices. Results are bit-identical
-// for any Workers value; the selected-subset results are bit-identical across
-// any ShardSlice partition.
+// runShards executes fn over the selected subset of an n-shard sweep on
+// parallel.Run and returns a dense result slice indexed by global shard
+// index. Unselected shards keep T's zero value — callers that run sharded
+// must only consume selected indices. Results are bit-identical for any
+// Workers value; the selected-subset results are bit-identical across any
+// ShardSlice partition.
 func runShards[T any](rc RunControl, n int, fn func(ctx context.Context, shard int) (T, error)) ([]T, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("experiments: negative shard count %d", n)
+	}
 	if err := rc.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	if rc.Shard.All() {
-		return parallel.MapShards(n, fn, rc.runOptions())
-	}
-	var sel []int
-	for i := 0; i < n; i++ {
-		if rc.Shard.Selects(i) {
-			sel = append(sel, i)
-		}
-	}
+	sel := rc.Shard.Indices(n)
 	results := make([]T, n)
 	err := parallel.Run(len(sel), func(ctx context.Context, j int) error {
 		v, err := fn(ctx, sel[j])
@@ -145,7 +145,7 @@ func runShards[T any](rc RunControl, n int, fn func(ctx context.Context, shard i
 		}
 		results[sel[j]] = v
 		return nil
-	}, rc.runOptions())
+	}, parallel.RunOptions{Workers: rc.Workers, Context: rc.Ctx})
 	if err != nil {
 		return nil, err
 	}

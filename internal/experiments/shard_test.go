@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -13,8 +14,8 @@ import (
 )
 
 // tinyFig4 is the grid used by the sharding tests: small enough that every
-// worker-count variant runs in well under a second, large enough that blocks
-// split unevenly across workers and stealing occurs.
+// worker-count variant runs in well under a second, large enough that shards
+// complete out of index order across workers.
 func tinyFig4() Figure4Config {
 	return Figure4Config{
 		Ds:        []int{1, 2},
@@ -116,10 +117,10 @@ func TestFigure4SliceMergeMatchesFullRun(t *testing.T) {
 	}
 }
 
-// TestFigure4ShardedMatchesSequential is the differential test: the
-// work-stealing sharded runner must reproduce the single-goroutine reference
-// implementation exactly — every cell summary bit-identical, which implies
-// per-policy usage-time totals are too.
+// TestFigure4ShardedMatchesSequential is the differential test: the sharded
+// runner must reproduce the single-goroutine reference implementation
+// exactly — every cell summary bit-identical, which implies per-policy
+// usage-time totals are too.
 func TestFigure4ShardedMatchesSequential(t *testing.T) {
 	cfg := tinyFig4()
 	cfg.Workers = 4
@@ -236,6 +237,15 @@ func TestShardSliceSemantics(t *testing.T) {
 		if s.Selects(i) != (i%3 == 1) {
 			t.Errorf("slice 1/3 Selects(%d) = %v", i, s.Selects(i))
 		}
+	}
+	if got := all.Indices(3); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("zero slice Indices(3) = %v", got)
+	}
+	if got := s.Indices(9); !reflect.DeepEqual(got, []int{1, 4, 7}) {
+		t.Errorf("slice 1/3 Indices(9) = %v", got)
+	}
+	if _, err := runShards(RunControl{}, -1, func(context.Context, int) (int, error) { return 0, nil }); err == nil {
+		t.Error("negative shard count accepted")
 	}
 	for _, bad := range []ShardSlice{{Index: -1, Count: 2}, {Index: 2, Count: 2}, {Index: 0, Count: -1}, {Index: 3, Count: 0}} {
 		if err := bad.Validate(); err == nil {

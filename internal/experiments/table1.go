@@ -151,8 +151,8 @@ type Table1Config struct {
 	Params []int
 	// Seed feeds RandomFit (the only randomised policy).
 	Seed int64
-	// RunControl supplies the execution knobs (Workers, Ctx, Progress,
-	// Shard, Observer); none of them affect results.
+	// RunControl supplies the execution knobs (Workers, Ctx, Shard,
+	// Observer); none of them affect results.
 	RunControl
 }
 

@@ -4,32 +4,28 @@
 //
 // # Scheduler
 //
-// The execution engine is a work-stealing shard scheduler (see Run): bounded
-// workers own contiguous index blocks and steal from each other when they run
-// dry, so throughput degrades gracefully when shard costs are skewed (a few
-// slow exact-OPT shards among thousands of cheap heuristic ones).
+// Run hands shard indices to a bounded set of workers from one shared atomic
+// counter. A worker takes a single index at a time, so skewed shard costs (a
+// few slow exact-OPT shards among thousands of cheap heuristic ones) balance
+// at the finest grain. A shard is a whole simulation, around a millisecond,
+// so one atomic add per shard is negligible.
 //
 // # Determinism contract
 //
-// Every shard derives its behaviour from its index alone (seeded via SeedFor
-// or Derive) and results are collected by index, so the outcome is
-// bit-identical regardless of GOMAXPROCS, steal pattern, or completion
-// order. Errors cancel the remaining work; the reported error is the
+// Every shard computes its behaviour from its index alone (seeded via
+// SeedFor) and callers collect results by index, so the outcome is
+// bit-identical regardless of GOMAXPROCS, worker count or completion order.
+// Errors cancel the remaining work; the reported error is the
 // smallest-indexed failure observed before cancellation took effect — again
 // independent of scheduling. Worker panics are captured and rethrown as
 // *PanicError rather than tearing down the process.
 //
-// # API layers
+// # API
 //
-//   - Run is the primitive: n indexed shards, a context for cancellation,
-//     RunOptions for worker count and ProgressFunc reporting.
-//   - MapShards collects per-shard results by index on top of Run.
-//   - Map and Reduce (parallel.go) are the convenience layer used by the
-//     experiment sweeps; Reduce folds in index order, keeping aggregate
-//     statistics deterministic too.
-//   - SeedFor and Derive split a base seed into per-shard and per-label
-//     streams with a SplitMix64 step, so adding a new randomness consumer
-//     never perturbs existing streams.
+//   - Run is the primitive: n indexed shards, with RunOptions for the worker
+//     count and a context for cancellation.
+//   - SeedFor splits a base seed into per-shard streams with a SplitMix64
+//     step.
 //
 // The `make stress` target repeatedly runs this package's tests under the
 // race detector with GOMAXPROCS forced above the core count to shake out

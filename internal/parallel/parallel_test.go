@@ -1,153 +1,6 @@
 package parallel
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"strings"
-	"sync/atomic"
-	"testing"
-)
-
-func TestMapOrdersResults(t *testing.T) {
-	got, err := Map(100, func(i int) (int, error) { return i * i, nil }, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("got[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestMapZeroAndNegative(t *testing.T) {
-	got, err := Map(0, func(i int) (int, error) { return 0, nil }, Options{})
-	if err != nil || len(got) != 0 {
-		t.Errorf("n=0: got %v, %v", got, err)
-	}
-	if _, err := Map(-1, func(i int) (int, error) { return 0, nil }, Options{}); err == nil {
-		t.Error("n=-1: want error")
-	}
-}
-
-func TestMapWorkerCounts(t *testing.T) {
-	for _, w := range []int{0, 1, 2, 7, 64} {
-		got, err := Map(50, func(i int) (int, error) { return i, nil }, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("workers=%d: got[%d]=%d", w, i, v)
-			}
-		}
-	}
-}
-
-func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) []int64 {
-		out, err := Map(64, func(i int) (int64, error) { return SeedFor(7, i), nil }, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := run(1), run(8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("index %d differs between worker counts", i)
-		}
-	}
-}
-
-func TestMapPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Map(100, func(i int) (int, error) {
-		if i == 42 {
-			return 0, boom
-		}
-		return i, nil
-	}, Options{Workers: 4})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-}
-
-func TestMapReturnsSmallestIndexError(t *testing.T) {
-	// With one worker the scheduler owns a single sequential block, so index 3
-	// is guaranteed to fail first and be the reported error.
-	_, err := Map(100, func(i int) (int, error) {
-		if i%10 == 3 {
-			return 0, fmt.Errorf("fail-%d", i)
-		}
-		return i, nil
-	}, Options{Workers: 1})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	want := "parallel: shard 3: fail-3"
-	if err.Error() != want {
-		t.Fatalf("err = %q, want %q", err.Error(), want)
-	}
-}
-
-func TestMapReportsSmallestObservedFailure(t *testing.T) {
-	// Under concurrency the reported index is the smallest among the failures
-	// that ran before cancellation — always one of the failing indices.
-	_, err := Map(100, func(i int) (int, error) {
-		if i%10 == 3 {
-			return 0, fmt.Errorf("fail-%d", i)
-		}
-		return i, nil
-	}, Options{Workers: 8})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if !strings.Contains(err.Error(), "fail-") {
-		t.Fatalf("err = %q, want a fail-N error", err)
-	}
-}
-
-func TestMapCancellationStopsWork(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	_, err := Map(1_000_000, func(i int) (int, error) {
-		if calls.Add(1) == 10 {
-			cancel()
-		}
-		return i, nil
-	}, Options{Workers: 2, Context: ctx})
-	if err == nil {
-		t.Fatal("cancelled run should error")
-	}
-	if calls.Load() > 100_000 {
-		t.Errorf("cancellation did not stop work early (%d calls)", calls.Load())
-	}
-}
-
-func TestReduce(t *testing.T) {
-	sum, err := Reduce(100,
-		func(i int) (int, error) { return i, nil },
-		func(acc, v int) int { return acc + v },
-		0, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 4950 {
-		t.Errorf("sum = %d, want 4950", sum)
-	}
-}
-
-func TestReduceError(t *testing.T) {
-	_, err := Reduce(10,
-		func(i int) (int, error) { return 0, errors.New("x") },
-		func(acc, v int) int { return acc + v },
-		0, Options{})
-	if err == nil {
-		t.Error("want error")
-	}
-}
+import "testing"
 
 func TestSeedForProperties(t *testing.T) {
 	seen := make(map[int64]bool)
@@ -163,14 +16,5 @@ func TestSeedForProperties(t *testing.T) {
 	}
 	if SeedFor(1, 5) != SeedFor(1, 5) {
 		t.Error("SeedFor must be pure")
-	}
-}
-
-func BenchmarkMapOverhead(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Map(64, func(j int) (int, error) { return j, nil }, Options{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -3,12 +3,33 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// collect runs fn over [0, n) on Run and gathers the results by index, the
+// way the experiment harness uses Run. The TestMap* tests exercise Run
+// through it.
+func collect[T any](n int, fn func(i int) (T, error), opts RunOptions) ([]T, error) {
+	out := make([]T, n)
+	err := Run(n, func(_ context.Context, i int) error {
+		v, err := fn(i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		return nil
+	}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 func TestRunVisitsEveryShardExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 64} {
@@ -29,16 +50,16 @@ func TestRunVisitsEveryShardExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestRunStealsAcrossUnbalancedBlocks(t *testing.T) {
-	// Make the first block's shards vastly more expensive than the rest: with
-	// stealing, other workers must take over part of worker 0's block. We can
-	// only assert completion + exactly-once here (timing is not observable),
-	// but the skew exercises the steal path under -race.
+func TestRunSkewedShardCosts(t *testing.T) {
+	// Make the first quarter of the shards vastly more expensive than the
+	// rest, so workers finish shards far out of index order. We can only
+	// assert completion + exactly-once here (timing is not observable), but
+	// the skew exercises concurrent claims under -race.
 	const n = 256
 	var visits [n]atomic.Int32
 	err := Run(n, func(_ context.Context, i int) error {
 		if i < n/4 {
-			// Busy-spin a little so block 0 stays non-empty while others drain.
+			// Busy-spin a little so the expensive shards overlap the cheap ones.
 			for j := 0; j < 10_000; j++ {
 				_ = math.Sqrt(float64(j))
 			}
@@ -56,10 +77,72 @@ func TestRunStealsAcrossUnbalancedBlocks(t *testing.T) {
 	}
 }
 
-func TestMapShardsDeterministicAcrossWorkerCounts(t *testing.T) {
+func TestMapOrdersResults(t *testing.T) {
+	got, err := collect(100, func(i int) (int, error) { return i * i, nil }, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("got[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+}
+
+func TestMapZeroAndNegative(t *testing.T) {
+	var calls atomic.Int64
+	fn := func(context.Context, int) error {
+		calls.Add(1)
+		return nil
+	}
+	if err := Run(0, fn, RunOptions{}); err != nil {
+		t.Errorf("n=0: %v", err)
+	}
+	err := Run(-1, fn, RunOptions{})
+	if want := "parallel: negative n -1"; err == nil || err.Error() != want {
+		t.Errorf("n=-1: err = %v, want %q", err, want)
+	}
+	if c := calls.Load(); c != 0 {
+		t.Errorf("shard function ran %d times for n <= 0", c)
+	}
+}
+
+func TestMapWorkerCounts(t *testing.T) {
+	for _, w := range []int{0, 1, 2, 7, 64} {
+		got, err := collect(50, func(i int) (int, error) { return i, nil }, RunOptions{Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: got[%d]=%d", w, i, v)
+			}
+		}
+	}
+}
+
+func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []int64 {
-		out, err := MapShards(512, func(_ context.Context, i int) (int64, error) {
-			return Derive(99, int64(i), int64(i*i)), nil
+		out, err := collect(64, func(i int) (int64, error) { return SeedFor(7, i), nil }, RunOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := run(1), run(8)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("index %d differs between worker counts", i)
+		}
+	}
+}
+
+func TestMapShardsDeterministicAcrossWorkerCounts(t *testing.T) {
+	// Two-level seeds, the way a sweep derives a per-instance seed from its
+	// cell's seed.
+	run := func(workers int) []int64 {
+		out, err := collect(512, func(i int) (int64, error) {
+			return SeedFor(SeedFor(99, i), i*i), nil
 		}, RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -74,6 +157,94 @@ func TestMapShardsDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("workers=%d: index %d differs", w, i)
 			}
 		}
+	}
+}
+
+func TestMapPropagatesError(t *testing.T) {
+	boom := errors.New("boom")
+	_, err := collect(100, func(i int) (int, error) {
+		if i == 42 {
+			return 0, boom
+		}
+		return i, nil
+	}, RunOptions{Workers: 4})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped boom", err)
+	}
+}
+
+func TestMapReturnsSmallestIndexError(t *testing.T) {
+	// With one worker shards run in index order, so index 3 is guaranteed to
+	// fail first and be the reported error.
+	_, err := collect(100, func(i int) (int, error) {
+		if i%10 == 3 {
+			return 0, fmt.Errorf("fail-%d", i)
+		}
+		return i, nil
+	}, RunOptions{Workers: 1})
+	if err == nil {
+		t.Fatal("want error")
+	}
+	want := "parallel: shard 3: fail-3"
+	if err.Error() != want {
+		t.Fatalf("err = %q, want %q", err.Error(), want)
+	}
+}
+
+func TestMapReportsSmallestObservedFailure(t *testing.T) {
+	// Under concurrency the reported index is the smallest among the failures
+	// that ran before cancellation — always one of the failing indices.
+	_, err := collect(100, func(i int) (int, error) {
+		if i%10 == 3 {
+			return 0, fmt.Errorf("fail-%d", i)
+		}
+		return i, nil
+	}, RunOptions{Workers: 8})
+	if err == nil {
+		t.Fatal("want error")
+	}
+	var shard int
+	if _, serr := fmt.Sscanf(err.Error(), "parallel: shard %d:", &shard); serr != nil || shard%10 != 3 ||
+		!strings.HasSuffix(err.Error(), fmt.Sprintf("fail-%d", shard)) {
+		t.Fatalf("err = %q, want a failing shard's fail-N error", err)
+	}
+}
+
+func TestMapCancellationStopsWork(t *testing.T) {
+	// A failing shard cancels the run: the workers stop claiming, so only a
+	// few of the million shards run.
+	boom := errors.New("boom")
+	var calls atomic.Int64
+	_, err := collect(1_000_000, func(i int) (int, error) {
+		if calls.Add(1) == 10 {
+			return 0, boom
+		}
+		return i, nil
+	}, RunOptions{Workers: 2})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped boom", err)
+	}
+	if calls.Load() > 100_000 {
+		t.Errorf("cancellation did not stop work early (%d calls)", calls.Load())
+	}
+}
+
+func TestRunCancellationStopsClaims(t *testing.T) {
+	// With one worker, the failure of shard 0 cancels the run before the
+	// worker can claim shard 1.
+	var calls atomic.Int64
+	err := Run(100, func(_ context.Context, i int) error {
+		calls.Add(1)
+		if i == 0 {
+			return errors.New("fail-0")
+		}
+		return nil
+	}, RunOptions{Workers: 1})
+	if err == nil {
+		t.Fatal("want error")
+	}
+	if c := calls.Load(); c != 1 {
+		t.Fatalf("%d shards ran after shard 0 failed, want exactly 1 in total", c)
 	}
 }
 
@@ -152,40 +323,6 @@ func TestRunShardContextCancelledOnFailure(t *testing.T) {
 	}
 }
 
-func TestRunProgressMonotone(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
-	err := Run(100, func(_ context.Context, i int) error { return nil },
-		RunOptions{Workers: 4, OnProgress: func(done, total int) {
-			if total != 100 {
-				t.Errorf("total = %d, want 100", total)
-			}
-			mu.Lock()
-			seen = append(seen, done)
-			mu.Unlock()
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 100 {
-		t.Fatalf("progress fired %d times, want 100", len(seen))
-	}
-	// done values are the atomic post-increment, so the multiset must be
-	// exactly 1..100 (each value once), though callback order may interleave.
-	got := make(map[int]bool, len(seen))
-	for _, d := range seen {
-		if got[d] {
-			t.Fatalf("progress value %d reported twice", d)
-		}
-		got[d] = true
-	}
-	for d := 1; d <= 100; d++ {
-		if !got[d] {
-			t.Fatalf("progress value %d missing", d)
-		}
-	}
-}
-
 func TestRunEdgeCases(t *testing.T) {
 	if err := Run(0, func(context.Context, int) error { return nil }, RunOptions{}); err != nil {
 		t.Errorf("n=0: %v", err)
@@ -201,35 +338,6 @@ func TestRunEdgeCases(t *testing.T) {
 	}
 }
 
-func TestDeriveProperties(t *testing.T) {
-	// Pure and label-order sensitive.
-	if Derive(1, 2, 3) != Derive(1, 2, 3) {
-		t.Error("Derive must be pure")
-	}
-	if Derive(1, 2, 3) == Derive(1, 3, 2) {
-		t.Error("Derive must be order-sensitive")
-	}
-	if Derive(1) == Derive(2) {
-		t.Error("different bases must give different streams")
-	}
-	// No collisions across a realistic shard grid.
-	seen := make(map[int64]bool)
-	for cell := int64(0); cell < 20; cell++ {
-		for inst := int64(0); inst < 500; inst++ {
-			s := Derive(7, cell, inst)
-			if seen[s] {
-				t.Fatalf("collision at (%d, %d)", cell, inst)
-			}
-			seen[s] = true
-		}
-	}
-	// Chaining one label at a time equals the variadic form, so hierarchies
-	// can derive level by level.
-	if Derive(Derive(5, 1), 2) != Derive(5, 1, 2) {
-		t.Error("Derive must chain: Derive(Derive(s,a),b) == Derive(s,a,b)")
-	}
-}
-
 func TestConcurrentRunsShareNothing(t *testing.T) {
 	// Several independent Run invocations in flight at once: exercises the
 	// scheduler's freedom from package-level state under -race.
@@ -238,15 +346,15 @@ func TestConcurrentRunsShareNothing(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			out, err := MapShards(200, func(_ context.Context, i int) (int64, error) {
-				return Derive(int64(r), int64(i)), nil
+			out, err := collect(200, func(i int) (int64, error) {
+				return SeedFor(int64(r), i), nil
 			}, RunOptions{Workers: 3})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			for i, v := range out {
-				if v != Derive(int64(r), int64(i)) {
+				if v != SeedFor(int64(r), i) {
 					t.Errorf("run %d index %d corrupted", r, i)
 					return
 				}
