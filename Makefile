@@ -110,6 +110,7 @@ bench-smoke:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 
 # Machine-readable perf trajectory: run the core hot-path benchmarks, the
+# engine's resident bytes per admitted item (EngineResident), the
 # sharded-sweep throughput benchmark (shards/sec at 1 and 8 workers) and the
 # placement-server benchmark (req/sec with p50/p99 latency at 1 and 8
 # clients), then write BENCH_core.json (benchstat-comparable names, mean
@@ -120,7 +121,7 @@ bench-smoke:
 bench-json:
 	@mkdir -p artifacts/bench
 	@echo "nproc: $$(getconf _NPROCESSORS_ONLN)" > artifacts/bench/BENCH_core_cur.txt
-	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|FleetSelect|FragmentationSweep' \
+	$(GO) test ./internal/core -run='^$$' -bench='ChurnHotPath|SimulateUniform|BinChurnClose|FleetSelect|FragmentationSweep|EngineResident' \
 		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt
 	$(GO) test . -run='^$$' -bench='Figure4SweepThroughput' \
 		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) | tee -a artifacts/bench/BENCH_core_cur.txt

@@ -25,11 +25,17 @@ func WithDynamicArrivals() Option {
 }
 
 // validateList applies the list validation appropriate to the run mode:
-// dynamic runs may (and usually do) start empty.
+// dynamic runs may (and usually do) start empty, and their item IDs must be
+// list positions, because AppendArrival assigns the next position as the ID.
 func validateList(l *item.List, dynamic bool) error {
 	var err error
 	if dynamic {
 		err = l.ValidateDynamic()
+		for i := 0; err == nil && i < len(l.Items); i++ {
+			if id := l.Items[i].ID; id != i {
+				err = fmt.Errorf("item at position %d has id %d; a dynamic run needs id = position", i, id)
+			}
+		}
 	} else {
 		err = l.Validate()
 	}
@@ -60,15 +66,16 @@ func (e *Engine) AppendArrival(arrival, departure float64, size vector.Vector) (
 	if err := it.Validate(e.list.Dim); err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	if n := len(e.arrivals); n > 0 && arrival < e.arrivals[n-1].Arrival {
-		return 0, fmt.Errorf("core: arrival %g is before the previously admitted arrival %g", arrival, e.arrivals[n-1].Arrival)
+	if n := len(e.order); n > 0 {
+		if prev := e.list.Items[e.order[n-1]].Arrival; arrival < prev {
+			return 0, fmt.Errorf("core: arrival %g is before the previously admitted arrival %g", arrival, prev)
+		}
 	}
 	if arrival < e.lastTime {
 		return 0, fmt.Errorf("core: arrival %g is in the engine's past (last committed event at %g)", arrival, e.lastTime)
 	}
 	e.list.Items = append(e.list.Items, it)
-	e.arrivals = append(e.arrivals, it)
-	e.itemsByID[id] = it
+	e.order = append(e.order, int32(id))
 	e.res.Items = e.list.Len()
 	return id, nil
 }
@@ -95,15 +102,18 @@ func (e *Engine) PeekTime() (float64, bool) {
 	if ev, ok := e.retries.Peek(); ok && ev.Time < t {
 		t, any = ev.Time, true
 	}
-	if e.ai < len(e.arrivals) && (e.arrivals[e.ai].Arrival < t || !any) {
-		t, any = e.arrivals[e.ai].Arrival, true
+	if e.ai < len(e.order) {
+		if a := e.list.Items[e.order[e.ai]].Arrival; a < t || !any {
+			t, any = a, true
+		}
 	}
 	return t, any
 }
 
 // EngineStats is a cheap point-in-time view of a running engine, sized for a
 // status endpoint: counters and aggregates only, no per-item data. For the
-// full decision record use Snapshot (its Result is a deep copy).
+// placements use AppendPlacements; for the full state, Snapshot (its Result
+// is a deep copy).
 type EngineStats struct {
 	// EventSeq is the number of committed events; Clock the time of the most
 	// recent one (0 before the first).
@@ -158,7 +168,7 @@ func (e *Engine) Stats() EngineStats {
 		EventSeq:        e.eventSeq,
 		Clock:           e.lastTime,
 		Items:           e.list.Len(),
-		ArrivalsPending: len(e.arrivals) - e.ai,
+		ArrivalsPending: len(e.order) - e.ai,
 		Placements:      len(e.res.Placements),
 		Served:          e.served,
 		OpenBins:        len(e.open) - e.holes,

@@ -227,3 +227,53 @@ func TestDynamicGuards(t *testing.T) {
 		t.Error("static engine accepted AppendArrival")
 	}
 }
+
+// TestDynamicRefusesNonPositionalIDs: AppendArrival gives each new item the
+// next list position as its ID, so a dynamic run over a list whose IDs are
+// not positions would mint duplicates — over IDs {2, 7} the next append is a
+// second item 2, both copies are placed and depart, and the final list fails
+// validation. NewEngine and RestoreEngine refuse such a list up front.
+func TestDynamicRefusesNonPositionalIDs(t *testing.T) {
+	l := item.NewList(1)
+	l.Items = []item.Item{
+		{ID: 2, SeqNo: 0, Arrival: 0, Departure: 4, Size: vector.Of(0.5)},
+		{ID: 7, SeqNo: 1, Arrival: 1, Departure: 5, Size: vector.Of(0.25)},
+	}
+	p, _ := NewPolicy("FirstFit", 1)
+	if e, err := NewEngine(l, p, WithDynamicArrivals()); err == nil || !strings.Contains(err.Error(), "position 0 has id 2") {
+		if e != nil {
+			e.Close()
+		}
+		t.Fatalf("NewEngine accepted a dynamic list with IDs {2, 7} (err=%v)", err)
+	}
+
+	// The same list is a valid static instance; its snapshot must not
+	// restore into a dynamic run.
+	se, err := NewEngine(l, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := se.Snapshot()
+	se.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re, err := RestoreEngine(l, p, s, WithDynamicArrivals()); err == nil || !strings.Contains(err.Error(), "position 0 has id 2") {
+		if re != nil {
+			re.Close()
+		}
+		t.Fatalf("RestoreEngine accepted a dynamic list with IDs {2, 7} (err=%v)", err)
+	}
+
+	// Positional IDs keep working, and appended items continue the sequence.
+	ok := item.NewList(1)
+	ok.Add(0, 4, vector.Of(0.5))
+	e, err := NewEngine(ok, p, WithDynamicArrivals())
+	if err != nil {
+		t.Fatalf("positional dynamic list refused: %v", err)
+	}
+	defer e.Close()
+	if id, err := e.AppendArrival(1, 5, vector.Of(0.25)); err != nil || id != 1 {
+		t.Fatalf("AppendArrival = %d, %v; want 1, nil", id, err)
+	}
+}

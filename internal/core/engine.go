@@ -252,9 +252,16 @@ type Engine struct {
 	cfg  config
 	p    Policy
 	list *item.List
+	// offPos maps each item ID that is not its own list position to that
+	// position; nil when every ID is its position (see itemByID).
+	offPos map[int]int
 
-	arrivals []item.Item
-	ai       int // next arrival index
+	// order holds list positions in arrival order (item.List.ArrivalOrder);
+	// ai indexes the next unconsumed arrival in it. 32-bit positions
+	// suffice: depSeq already needs item IDs below 2^31, and 2^31 items
+	// would take over 100 GiB.
+	order []int32
+	ai    int
 
 	open  []*Bin // opening order (ascending ID); may hold tombstones until compacted
 	holes int    // tombstone (nil) count in open
@@ -268,7 +275,6 @@ type Engine struct {
 	res       *Result
 	nextBinID int
 	binsByID  map[int]*Bin
-	itemsByID map[int]item.Item
 	attempts  map[int]int // item ID -> eviction count (allocated on first crash)
 	served    int
 	eventSeq  int64
@@ -333,8 +339,22 @@ func NewEngine(l *item.List, p Policy, opts ...Option) (*Engine, error) {
 	}
 	p.Reset()
 	e := newEngineShell(l, p, cfg)
-	e.arrivals = l.SortedByArrival()
+	e.order = l.ArrivalOrder()
 	return e, nil
+}
+
+// itemByID returns the item with the given ID. list.Items is the engine's
+// only copy of each item: the item sits at position id in every list built
+// with item.List.Add, every op-log list and every dynamic run, and offPos
+// locates the rest (JSON traces with arbitrary IDs).
+func (e *Engine) itemByID(id int) (item.Item, bool) {
+	if id >= 0 && id < len(e.list.Items) && e.list.Items[id].ID == id {
+		return e.list.Items[id], true
+	}
+	if pos, ok := e.offPos[id]; ok {
+		return e.list.Items[pos], true
+	}
+	return item.Item{}, false
 }
 
 // newEngineShell builds the run scaffolding shared by NewEngine and
@@ -349,11 +369,15 @@ func newEngineShell(l *item.List, p Policy, cfg config) *Engine {
 			Algorithm: p.Name(), Dim: l.Dim, Items: l.Len(), Span: l.Span(), Mu: l.Mu(),
 			Outcomes: make(map[int]Outcome, l.Len()),
 		},
-		binsByID:  make(map[int]*Bin),
-		itemsByID: make(map[int]item.Item, l.Len()),
+		binsByID: make(map[int]*Bin),
 	}
-	for _, it := range l.Items {
-		e.itemsByID[it.ID] = it
+	for i, it := range l.Items {
+		if it.ID != i {
+			if e.offPos == nil {
+				e.offPos = make(map[int]int)
+			}
+			e.offPos[it.ID] = i
+		}
 	}
 	if so, ok := cfg.observer.(SelectObserver); ok {
 		e.selObs = so
@@ -434,6 +458,15 @@ func (e *Engine) AppendOpenBins(dst []*Bin) []*Bin {
 		}
 	}
 	return dst
+}
+
+// AppendPlacements appends the committed placements from index from on
+// (clamped to [0, total]) to dst in commit order, and returns the extended
+// slice with total, the number committed so far. Placement listings read
+// through it: unlike Snapshot it copies only the records asked for.
+func (e *Engine) AppendPlacements(dst []Placement, from int) ([]Placement, int) {
+	all := e.res.Placements
+	return append(dst, all[min(max(from, 0), len(all)):]...), len(all)
 }
 
 // Policy returns the policy driving the run.
@@ -693,7 +726,7 @@ func (e *Engine) handleCrash(t float64, binID int) error {
 		e.attempts = make(map[int]int)
 	}
 	for _, id := range evicted {
-		it := e.itemsByID[id]
+		it, _ := e.itemByID(id)
 		e.attempts[id]++
 		attempt := e.attempts[id]
 		e.res.Evictions++
@@ -748,8 +781,10 @@ func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 	if ev, ok := e.retries.Peek(); ok && (ev.Time < t || (ev.Time == t && evRetry < class)) {
 		t, class = ev.Time, evRetry
 	}
-	if e.ai < len(e.arrivals) && (e.arrivals[e.ai].Arrival < t || (e.arrivals[e.ai].Arrival == t && evArrival < class)) {
-		t, class = e.arrivals[e.ai].Arrival, evArrival
+	if e.ai < len(e.order) {
+		if a := e.list.Items[e.order[e.ai]].Arrival; a < t || (a == t && evArrival < class) {
+			t, class = a, evArrival
+		}
 	}
 	if class == evNone {
 		return EventRecord{}, false, nil
@@ -793,7 +828,7 @@ func (e *Engine) Step() (rec EventRecord, ok bool, err error) {
 		rec.ItemID = ev.Payload.it.ID
 		rec.Placed, rec.BinID, rec.Opened, err = e.dispatch(ev.Payload.it, ev.Payload.attempt, ev.Time, false)
 	case evArrival:
-		it := e.arrivals[e.ai]
+		it := e.list.Items[e.order[e.ai]]
 		e.ai++
 		rec.ItemID = it.ID
 		rec.Placed, rec.BinID, rec.Opened, err = e.dispatch(it, 0, it.Arrival, false)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dvbp/internal/item"
@@ -136,4 +137,61 @@ func BenchmarkSimulateUniform(b *testing.B) {
 			}
 		})
 	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// BenchmarkEngineResident measures what a long-lived dynamic engine (a
+// server tenant) keeps per admitted item: the live heap of a d=2 Best Fit
+// engine fed about 50k AzureLike items the way a tenant is fed — append,
+// then step until the arrival commits — minus the heap before it was built,
+// divided by the item count. Most items have departed by the end, so the
+// figure is the per-item history (item, placement, outcome) plus the closed
+// bins' usage records amortised over the run.
+func BenchmarkEngineResident(b *testing.B) {
+	cfg := workload.AzureLike(2)
+	cfg.Rate, cfg.Horizon = 12, 2800
+	src, err := workload.Datacenter(cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream := src.SortedByArrival()
+	var perItem float64
+	for i := 0; i < b.N; i++ {
+		p, err := NewPolicy("BestFit", 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := liveHeap()
+		e, err := NewEngine(item.NewList(2), p, WithDynamicArrivals())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, it := range stream {
+			id, err := e.AppendArrival(it.Arrival, it.Departure, it.Size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				rec, ok, err := e.Step()
+				if err != nil || !ok {
+					b.Fatalf("item %d: step ok=%v err=%v", id, ok, err)
+				}
+				if rec.Class == EventArrival && rec.ItemID == id {
+					break
+				}
+			}
+		}
+		perItem = float64(liveHeap()-before) / float64(len(stream))
+		runtime.KeepAlive(e)
+		e.Close()
+	}
+	b.ReportMetric(float64(len(stream)), "items")
+	b.ReportMetric(perItem, "resident-B/item")
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dvbp/internal/item"
@@ -299,6 +300,20 @@ func randomList(seed int64, n, d int, maxDur float64) *item.List {
 	return l
 }
 
+// shuffledIDs returns a deep copy of l whose item IDs are shuffled and
+// gapped (a permutation of 1, 4, 7, ...), list order and SeqNos unchanged:
+// the shape of a JSON trace with arbitrary IDs. Most IDs then differ from
+// their list positions, so the engine resolves them through its
+// off-position map rather than by indexing the list.
+func shuffledIDs(l *item.List, seed int64) *item.List {
+	c := l.Clone()
+	perm := rand.New(rand.NewSource(seed)).Perm(c.Len())
+	for i := range c.Items {
+		c.Items[i].ID = 3*perm[i] + 1
+	}
+	return c
+}
+
 // TestDeterminism: same inputs, same policy instance reused -> identical results.
 func TestDeterminism(t *testing.T) {
 	for _, mk := range []func() Policy{
@@ -393,5 +408,42 @@ func BenchmarkSimulateMoveToFront(b *testing.B) {
 		if _, err := Simulate(l, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAppendPlacements: the placement accessor returns exactly the suffix of
+// the committed placements a snapshot records, with out-of-range starts
+// clamped, and appends to dst without disturbing its prefix.
+func TestAppendPlacements(t *testing.T) {
+	l := randomList(3, 30, 2, 10)
+	e, err := NewEngine(l, NewFirstFit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 25; i++ {
+		if _, ok, err := e.Step(); err != nil || !ok {
+			t.Fatalf("Step %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	s, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := s.Result.Placements
+	if len(all) == 0 {
+		t.Fatal("no placements committed")
+	}
+	for _, from := range []int{-3, 0, len(all) / 2, len(all), len(all) + 4} {
+		got, total := e.AppendPlacements(nil, from)
+		want := all[min(max(from, 0), len(all)):]
+		if total != len(all) || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("from %d: got %v (total %d), want %v (total %d)", from, got, total, want, len(all))
+		}
+	}
+	head := []Placement{{ItemID: -1}}
+	got, _ := e.AppendPlacements(head, len(all)-1)
+	if len(got) != 2 || got[0].ItemID != -1 || got[1] != all[len(all)-1] {
+		t.Errorf("append to dst = %v", got)
 	}
 }

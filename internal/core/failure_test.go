@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"dvbp/internal/item"
 )
 
 // traceInj is a minimal test FailureInjector: absolute crash times by bin ID.
@@ -330,26 +332,31 @@ func TestFaultyReferenceAgreesOnHandCases(t *testing.T) {
 // TestFaultyReferenceAgreesOnRandomInstances is the faulty-path analogue of
 // the fault-free differential test: every standard policy, random workloads,
 // seeded crash schedules, finite fleets with and without queues.
+//
+// Each instance also runs with shuffled, gapped item IDs, so crash eviction
+// resolves evicted items through the engine's off-position lookup.
 func TestFaultyReferenceAgreesOnRandomInstances(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		l := randomList(seed, 120, 2, 20)
-		for _, withQueue := range []bool{false, true} {
-			opts := []Option{
-				WithFaults(hashInj{seed: seed, mean: 9}, fixedRetry{wait: 1.5}),
-				WithMaxBins(4),
-			}
-			if withQueue {
-				opts = append(opts, WithAdmissionQueue(6))
-			}
-			for _, p := range StandardPolicies(seed) {
-				fast := mustSimulate(t, l, p, opts...)
-				ref, err := SimulateFaultyReference(l, p, opts...)
-				if err != nil {
-					t.Fatalf("%s seed=%d queue=%v: %v", p.Name(), seed, withQueue, err)
+		base := randomList(seed, 120, 2, 20)
+		for _, l := range []*item.List{base, shuffledIDs(base, seed)} {
+			for _, withQueue := range []bool{false, true} {
+				opts := []Option{
+					WithFaults(hashInj{seed: seed, mean: 9}, fixedRetry{wait: 1.5}),
+					WithMaxBins(4),
 				}
-				faultyResultsEqual(t, p.Name(), fast, ref)
-				if fast.Crashes == 0 {
-					t.Fatalf("seed %d: no crashes exercised", seed)
+				if withQueue {
+					opts = append(opts, WithAdmissionQueue(6))
+				}
+				for _, p := range StandardPolicies(seed) {
+					fast := mustSimulate(t, l, p, opts...)
+					ref, err := SimulateFaultyReference(l, p, opts...)
+					if err != nil {
+						t.Fatalf("%s seed=%d queue=%v: %v", p.Name(), seed, withQueue, err)
+					}
+					faultyResultsEqual(t, p.Name(), fast, ref)
+					if fast.Crashes == 0 {
+						t.Fatalf("seed %d: no crashes exercised", seed)
+					}
 				}
 			}
 		}

@@ -528,9 +528,18 @@ func TestMigrationHostilePlans(t *testing.T) {
 
 // TestMigrationSnapshotRoundTrip: snapshot before every event of a migrating
 // run — including boundaries inside a multi-move pass — restore, run out,
-// and require the exact reference suffix and result.
+// and require the exact reference suffix and result. It runs once with list
+// positions as item IDs and once with shuffled, gapped IDs, so plan checks,
+// move commits and restore validation also resolve items through the
+// engine's off-position lookup.
 func TestMigrationSnapshotRoundTrip(t *testing.T) {
-	l := fragPairList(6)
+	for _, l := range []*item.List{fragPairList(6), shuffledIDs(fragPairList(6), 6)} {
+		migrationSnapshotRoundTrip(t, l)
+	}
+}
+
+func migrationSnapshotRoundTrip(t *testing.T, l *item.List) {
+	t.Helper()
 	opts := func() []Option {
 		return []Option{WithMigration(testConsolidator{}, 2, MigrationBudget{MaxMoves: 16})}
 	}

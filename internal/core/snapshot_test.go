@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dvbp/internal/item"
 )
 
 // snapshotOpts is the option set the snapshot tests run under: faults with a
@@ -52,76 +54,85 @@ func resultJSON(t *testing.T, res *Result) string {
 // a snapshot taken between ANY two events, restored into a fresh engine (and
 // fresh policy instance), must regenerate the remaining event stream bit for
 // bit and finish with a byte-identical Result.
+//
+// The "-shuffled-ids" variants repeat the contract over the same instance with
+// shuffled, gapped item IDs, so RestoreEngine's validation resolves every
+// item through the engine's off-position lookup.
 func TestSnapshotRestoreEveryEventIndex(t *testing.T) {
-	l := randomList(42, 40, 2, 20)
+	base := randomList(42, 40, 2, 20)
 	policies := append(append(StandardPolicies(7), NewHarmonicFit(3)), FragmentationAwarePolicies(7)...)
-	for _, p := range policies {
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
-			// Reference: uninterrupted run.
-			ref, err := NewEngine(l, p, snapshotOpts()...)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			refRecs, refRes := stepAll(t, ref)
-			wantJSON := resultJSON(t, refRes)
-
-			// Second pass: snapshot before every event, restore each snapshot
-			// into a fresh engine, run it out, compare.
-			p2, err := NewPolicy(p.Name(), 7)
-			if err != nil {
-				t.Fatalf("NewPolicy: %v", err)
-			}
-			e, err := NewEngine(l, p2, snapshotOpts()...)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			defer e.Close()
-			var snaps []*Snapshot
-			for {
-				s, err := e.Snapshot()
+	for _, in := range []struct {
+		suffix string
+		l      *item.List
+	}{{"", base}, {"-shuffled-ids", shuffledIDs(base, 42)}} {
+		for _, p := range policies {
+			p, l := p, in.l
+			t.Run(p.Name()+in.suffix, func(t *testing.T) {
+				// Reference: uninterrupted run.
+				ref, err := NewEngine(l, p, snapshotOpts()...)
 				if err != nil {
-					t.Fatalf("Snapshot at event %d: %v", e.EventSeq(), err)
+					t.Fatalf("NewEngine: %v", err)
 				}
-				snaps = append(snaps, s)
-				_, ok, err := e.Step()
-				if err != nil {
-					t.Fatalf("Step: %v", err)
-				}
-				if !ok {
-					break
-				}
-			}
-			if got, want := len(snaps), len(refRecs)+1; got != want {
-				t.Fatalf("took %d snapshots, want %d", got, want)
-			}
-			if _, err := e.Finish(); err != nil {
-				t.Fatalf("Finish: %v", err)
-			}
+				refRecs, refRes := stepAll(t, ref)
+				wantJSON := resultJSON(t, refRes)
 
-			for k, s := range snaps {
-				pk, err := NewPolicy(p.Name(), 999) // wrong seed on purpose: state codec must override it
+				// Second pass: snapshot before every event, restore each snapshot
+				// into a fresh engine, run it out, compare.
+				p2, err := NewPolicy(p.Name(), 7)
 				if err != nil {
 					t.Fatalf("NewPolicy: %v", err)
 				}
-				re, err := RestoreEngine(l, pk, s, snapshotOpts()...)
+				e, err := NewEngine(l, p2, snapshotOpts()...)
 				if err != nil {
-					t.Fatalf("RestoreEngine at event %d: %v", k, err)
+					t.Fatalf("NewEngine: %v", err)
 				}
-				recs, res := stepAll(t, re)
-				if got, want := len(recs), len(refRecs)-k; got != want {
-					t.Fatalf("restore at %d replayed %d events, want %d", k, got, want)
-				}
-				for i, rec := range recs {
-					if rec != refRecs[k+i] {
-						t.Fatalf("restore at %d: event %d diverged:\n got %+v\nwant %+v", k, k+i, rec, refRecs[k+i])
+				defer e.Close()
+				var snaps []*Snapshot
+				for {
+					s, err := e.Snapshot()
+					if err != nil {
+						t.Fatalf("Snapshot at event %d: %v", e.EventSeq(), err)
+					}
+					snaps = append(snaps, s)
+					_, ok, err := e.Step()
+					if err != nil {
+						t.Fatalf("Step: %v", err)
+					}
+					if !ok {
+						break
 					}
 				}
-				if got := resultJSON(t, res); got != wantJSON {
-					t.Fatalf("restore at %d: result diverged:\n got %s\nwant %s", k, got, wantJSON)
+				if got, want := len(snaps), len(refRecs)+1; got != want {
+					t.Fatalf("took %d snapshots, want %d", got, want)
 				}
-			}
-		})
+				if _, err := e.Finish(); err != nil {
+					t.Fatalf("Finish: %v", err)
+				}
+
+				for k, s := range snaps {
+					pk, err := NewPolicy(p.Name(), 999) // wrong seed on purpose: state codec must override it
+					if err != nil {
+						t.Fatalf("NewPolicy: %v", err)
+					}
+					re, err := RestoreEngine(l, pk, s, snapshotOpts()...)
+					if err != nil {
+						t.Fatalf("RestoreEngine at event %d: %v", k, err)
+					}
+					recs, res := stepAll(t, re)
+					if got, want := len(recs), len(refRecs)-k; got != want {
+						t.Fatalf("restore at %d replayed %d events, want %d", k, got, want)
+					}
+					for i, rec := range recs {
+						if rec != refRecs[k+i] {
+							t.Fatalf("restore at %d: event %d diverged:\n got %+v\nwant %+v", k, k+i, rec, refRecs[k+i])
+						}
+					}
+					if got := resultJSON(t, res); got != wantJSON {
+						t.Fatalf("restore at %d: result diverged:\n got %s\nwant %s", k, got, wantJSON)
+					}
+				}
+			})
+		}
 	}
 }
 

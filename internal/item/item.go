@@ -227,14 +227,28 @@ func (l *List) LoadAt(t float64) vector.Vector {
 // order in which an online algorithm sees them. The receiver is unchanged.
 func (l *List) SortedByArrival() []Item {
 	out := make([]Item, len(l.Items))
-	copy(out, l.Items)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arrival != out[j].Arrival {
-			return out[i].Arrival < out[j].Arrival
-		}
-		return out[i].SeqNo < out[j].SeqNo
-	})
+	for i, pos := range l.ArrivalOrder() {
+		out[i] = l.Items[pos]
+	}
 	return out
+}
+
+// ArrivalOrder returns the list positions of the items in SortedByArrival
+// order. Positions are 32-bit because a simulation engine keeps this order
+// for the whole run, at 4 bytes per item instead of a copy of each item.
+func (l *List) ArrivalOrder() []int32 {
+	order := make([]int32, len(l.Items))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := &l.Items[order[i]], &l.Items[order[j]]
+		if a.Arrival != b.Arrival {
+			return a.Arrival < b.Arrival
+		}
+		return a.SeqNo < b.SeqNo
+	})
+	return order
 }
 
 // Clone returns a deep copy of the list.

@@ -546,20 +546,9 @@ func (t *Tenant) status() *TenantStatus {
 // listPlacements copies the committed placements from index from on
 // (worker goroutine only).
 func (t *Tenant) listPlacements(from int) *PlacementsResult {
-	snap, err := t.run.Engine().Snapshot()
-	if err != nil {
-		t.fail("snapshot: %v", err)
-		return nil
-	}
-	all := snap.Result.Placements
-	if from < 0 {
-		from = 0
-	}
-	if from > len(all) {
-		from = len(all)
-	}
-	out := &PlacementsResult{Tenant: t.cfg.Name, From: from, Total: len(all)}
-	for _, p := range all[from:] {
+	ps, total := t.run.Engine().AppendPlacements(nil, from)
+	out := &PlacementsResult{Tenant: t.cfg.Name, From: total - len(ps), Total: total}
+	for _, p := range ps {
 		out.Placements = append(out.Placements, PlacementRecord{Item: p.ItemID, Bin: p.BinID, Time: p.Time})
 	}
 	return out
